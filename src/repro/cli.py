@@ -641,30 +641,34 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.socket is None and args.port is None:
         print("error: need --socket PATH and/or --port N", file=sys.stderr)
         return 2
-    service = ScheduleService(
-        jobs=args.jobs,
-        cache_size=args.cache_size,
-        cache_path=args.cache_path,
-        spool_dir=args.spool_dir,
-        timeout_s=args.timeout_s,
-        retries=args.retries,
-        guard_budget_s=args.guard_budget_s,
-        breaker_threshold=args.breaker_threshold,
-        breaker_cooldown_s=args.breaker_cooldown_s,
-    )
-    server = ScheduleServer(
-        service,
-        socket_path=args.socket,
-        host=args.host,
-        port=args.port,
-        batch_max=args.batch_max,
-        batch_window_s=args.batch_window_ms / 1000.0,
-        access_log=args.access_log,
-        admission=AdmissionConfig(
-            queue_capacity=args.queue_capacity,
-            inflight_limit=args.inflight_limit,
-        ),
-    )
+    try:
+        service = ScheduleService(
+            jobs=args.jobs,
+            cache_size=args.cache_size,
+            cache_path=args.cache_path,
+            spool_dir=args.spool_dir,
+            timeout_s=args.timeout_s,
+            retries=args.retries,
+            guard_budget_s=args.guard_budget_s,
+            breaker_threshold=args.breaker_threshold,
+            breaker_cooldown_s=args.breaker_cooldown_s,
+        )
+        server = ScheduleServer(
+            service,
+            socket_path=args.socket,
+            host=args.host,
+            port=args.port,
+            batch_max=args.batch_max,
+            batch_window_s=args.batch_window_ms / 1000.0,
+            access_log=args.access_log,
+            admission=AdmissionConfig(
+                queue_capacity=args.queue_capacity,
+                inflight_limit=args.inflight_limit,
+            ),
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     async def _run() -> None:
         await server.start()
@@ -943,7 +947,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1",
                    help="bind address for --port (default 127.0.0.1)")
     p.add_argument("--jobs", "-j", type=int, default=1,
-                   help="worker processes per batch (default 1: in-process)")
+                   help="long-lived worker processes (default 1: in-process)")
     p.add_argument("--cache-size", type=int, default=1024, metavar="N",
                    help="max resident schedule-cache entries (LRU, "
                         "default 1024)")

@@ -9,7 +9,7 @@ from .model import MachineModel
 #: W < 10 in practice; we default to 4).
 PAPER_CORE = MachineModel(window_size=4, fu_counts={ANY: 1})
 
-#: Single FU without lookahead — isolates the benefit of the window itself.
+#: Single FU without lookahead — the baseline that shows what the window buys.
 NO_LOOKAHEAD = MachineModel(window_size=1, fu_counts={ANY: 1})
 
 #: An RS/6000-flavoured superscalar: separate fixed-point, floating-point,

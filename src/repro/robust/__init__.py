@@ -1,7 +1,7 @@
 """Robustness subsystem: fault injection, guarded scheduling, crash-tolerant
 sweeps (see ``docs/RELIABILITY.md``).
 
-Three layers:
+Four layers:
 
 - :mod:`repro.robust.faults` — seeded :class:`FaultPlan` perturbations of
   the simulated runtime (latency jitter, window wobble, forced mispredicts,
@@ -11,9 +11,11 @@ Three layers:
   Lookahead with node/time budgets and post-hoc verification; any failure
   degrades to the always-legal per-block rank order, recorded as a
   :class:`DegradedResult` and an obs counter;
-- :mod:`repro.robust.sweep` — :func:`run_sweep_robust`, an experiment-sweep
-  driver with per-cell timeouts, bounded retry, worker-crash isolation and
-  JSONL checkpoint/resume;
+- :mod:`repro.robust.pool` — :class:`ExecutionPool`, long-lived workers
+  that each hold one item, with stall timeouts, bounded retry and exact
+  blame for a worker that dies;
+- :mod:`repro.robust.sweep` — :func:`run_sweep_robust`, one pool batch
+  wrapped in JSONL checkpoint/resume;
 
 plus :mod:`repro.robust.fuzz`, the differential fuzz driver that runs the
 scheduler zoo under every fault plan and checks invariants.
@@ -70,9 +72,9 @@ _LAZY = {
     "GuardedScheduler": ("guard", "GuardedScheduler"),
     "FuzzReport": ("fuzz", "FuzzReport"),
     "run_fuzz": ("fuzz", "run_fuzz"),
-    "SweepError": ("sweep", "SweepError"),
-    "SweepFailure": ("sweep", "SweepFailure"),
-    "SweepResult": ("sweep", "SweepResult"),
+    "SweepError": ("pool", "SweepError"),
+    "SweepFailure": ("pool", "SweepFailure"),
+    "SweepResult": ("pool", "SweepResult"),
     "run_sweep_robust": ("sweep", "run_sweep_robust"),
 }
 

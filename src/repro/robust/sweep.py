@@ -1,39 +1,18 @@
-"""Crash-tolerant experiment-sweep driver.
+"""Checkpointed experiment sweeps over the execution pool.
 
-An experiment sweep maps one cell function over a parameter grid.  The
-previous driver (``benchmarks/common.py``) called ``future.result()`` with
-no timeout and let a single worker crash (``BrokenProcessPool``) abort the
-whole sweep, losing every sibling cell.  This driver keeps the sweep alive
-under all of that:
-
-- **per-cell timeouts** — when no cell completes for a full ``timeout_s``
-  window, every still-running cell is declared hung and abandoned (or
-  retried), and the worker pool is recycled so a wedged worker cannot
-  block the sweep;
-- **bounded retry with capped, jittered exponential backoff** — transient
-  failures get ``retries`` extra attempts; sleeps grow as ``backoff_s *
-  2**attempt`` but are clamped to ``backoff_cap_s`` and decorrelated by
-  seeded jitter (see :mod:`repro.robust.backoff`), so a high retry count
-  cannot stall the sweep for minutes and synchronized workers do not retry
-  in lockstep;
-- **worker-crash isolation** — a worker that dies (segfault, ``os._exit``,
-  OOM kill) breaks only its own cell: completed siblings keep their
-  results, and uncollected siblings are requeued *uncharged* (a broken
-  shared pool poisons every outstanding future, so blame cannot be
-  assigned there) into an isolation mode where each cell runs in its own
-  single-worker pool — a broken pool then identifies the poisoned cell
-  exactly, and it is recorded as a :class:`SweepFailure` once its attempts
-  are exhausted;
-- **JSONL checkpoint/resume** — each completed cell is appended to a
-  checkpoint file as it finishes (pickle + base64 for exact round-trip
-  fidelity, plus a human-readable preview); re-running with the same
-  checkpoint recomputes only the missing cells, so an interrupted sweep
-  resumes where it stopped and produces results identical to an
-  uninterrupted run.
+An experiment sweep maps one cell function over a parameter grid.
+:func:`run_sweep_robust` runs the grid as one
+:class:`~repro.robust.pool.ExecutionPool` batch, so a sweep keeps every
+guarantee of the pool — per-cell stall timeouts, bounded retry, exact blame
+for a worker that dies, cross-process telemetry — and adds **JSONL
+checkpoint/resume**: each completed cell is appended to a checkpoint file
+as it finishes (pickle + base64 for exact round-trip fidelity, plus a
+human-readable preview); re-running with the same checkpoint recomputes
+only the missing cells, so an interrupted sweep resumes where it stopped
+and produces results identical to an uninterrupted run.
 
 Results always come back in input order.  Cells must be independent; with
-``jobs > 1`` the cell function must be a module-level (picklable)
-callable, same as before.
+``jobs > 1`` their arguments and results must pickle.
 """
 
 from __future__ import annotations
@@ -42,96 +21,11 @@ import base64
 import json
 import os
 import pickle
-import time as _time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Future,
-    ProcessPoolExecutor,
-    TimeoutError as FutureTimeoutError,
-    wait,
-)
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
-import multiprocessing
-
-from .backoff import DEFAULT_BACKOFF_CAP_S, DEFAULT_BACKOFF_JITTER, RetryPolicy
-from ..obs import recorder as obs
-from ..obs.pipeline import (
-    SpoolMerge,
-    clear_spools,
-    current_context,
-    merge_spools,
-    spooled_cell,
-)
-
-
-@dataclass(frozen=True)
-class SweepFailure:
-    """One sweep cell that could not be completed.
-
-    Appears in ``SweepResult.results`` at the failed cell's position, so
-    downstream shape logic can see exactly which cells are missing.
-    """
-
-    index: int
-    error_type: str
-    message: str
-    attempts: int
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "error_type": self.error_type,
-            "message": self.message,
-            "attempts": self.attempts,
-        }
-
-    def __str__(self) -> str:
-        return (
-            f"cell {self.index}: {self.error_type} after "
-            f"{self.attempts} attempt(s): {self.message}"
-        )
-
-
-class SweepError(RuntimeError):
-    """Raised by strict sweeps after the whole grid has been driven: some
-    cells failed, but every completed sibling's result is preserved on the
-    exception (``.results`` / ``.failures``)."""
-
-    def __init__(self, failures: Sequence[SweepFailure], results: list) -> None:
-        self.failures = list(failures)
-        self.results = results
-        lines = [f"{len(self.failures)} sweep cell(s) failed:"]
-        lines += [f"  {f}" for f in self.failures]
-        super().__init__("\n".join(lines))
-
-
-@dataclass
-class SweepResult:
-    """Outcome of one sweep: per-cell results (a :class:`SweepFailure` at
-    each failed position), the failure list, and bookkeeping counts."""
-
-    results: list = field(default_factory=list)
-    failures: list[SweepFailure] = field(default_factory=list)
-    #: Cells loaded from the checkpoint instead of recomputed.
-    resumed: int = 0
-    #: Total cell executions, including retries.
-    attempts: int = 0
-    #: Times a worker pool was recycled (crash or timeout).
-    pool_restarts: int = 0
-    #: Merged worker telemetry (populated only for ``telemetry_dir`` sweeps).
-    telemetry: SpoolMerge | None = None
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    @property
-    def completed(self) -> int:
-        return len(self.results) - len(self.failures)
+from .pool import ExecutionPool, PoolConfig, SweepResult
+from .pool import SweepError, SweepFailure  # noqa: F401  (re-export)
 
 
 # -- checkpoint format -------------------------------------------------------
@@ -187,19 +81,6 @@ def load_checkpoint(path: str | os.PathLike) -> dict[int, object]:
 # -- the driver --------------------------------------------------------------
 
 
-def _normalize(params: Sequence[object]) -> list[tuple]:
-    return [p if isinstance(p, tuple) else (p,) for p in params]
-
-
-def _telemetry_cell(fn: Callable, args: tuple, directory, context, cell: int):
-    """Run one cell under a spooled recorder so its spans, counters and sim
-    traces survive the worker process (module level so pools can pickle
-    it).  Exceptions propagate — a raising cell is still spooled
-    (``ok=False``) because it still *executed*."""
-    with spooled_cell(directory, context, cell):
-        return fn(*args)
-
-
 def run_sweep_robust(
     fn: Callable,
     params: Sequence[object],
@@ -207,384 +88,46 @@ def run_sweep_robust(
     jobs: int = 1,
     timeout_s: float | None = None,
     retries: int = 1,
-    backoff_s: float = 0.05,
-    backoff_cap_s: float = DEFAULT_BACKOFF_CAP_S,
-    backoff_jitter: float = DEFAULT_BACKOFF_JITTER,
-    backoff_seed: int | None = 0,
     checkpoint: str | os.PathLike | None = None,
     telemetry_dir: str | os.PathLike | None = None,
-    isolate: bool = False,
 ) -> SweepResult:
     """Map ``fn`` over ``params`` (argument tuples; bare values are
     1-tuples), surviving worker crashes, hangs and interruptions.
 
-    With ``jobs == 1`` cells run in-process (exceptions are retried, but
-    ``timeout_s`` cannot preempt a running cell); with ``jobs > 1`` cells
-    fan out over fork-based process pools that are recycled on breakage,
-    and ``timeout_s`` bounds the time the sweep tolerates with *no* cell
-    completing before declaring the running cells hung.
+    ``jobs``, ``timeout_s`` and ``retries`` configure the
+    :class:`~repro.robust.pool.ExecutionPool` the grid runs on (in-process
+    at ``jobs == 1``; the pool's workers are stopped before this returns).
     ``checkpoint`` names a JSONL file appended to as cells finish and
     consulted before computing anything — pass the same path again to
-    resume.  Returns a :class:`SweepResult`; failed cells appear as
-    :class:`SweepFailure` entries instead of aborting the sweep.
-
-    Retry sleeps follow a :class:`~repro.robust.backoff.RetryPolicy`:
-    exponential in ``backoff_s``, clamped to ``backoff_cap_s`` and
-    decorrelated by jitter seeded with ``backoff_seed`` (deterministic by
-    default; sleeps never affect results or checkpoint contents).
-
-    ``telemetry_dir`` turns on the cross-process telemetry pipeline: every
-    cell execution (in-process or in a worker) runs under its own child
-    :class:`~repro.obs.pipeline.TraceContext` and is spooled to
-    ``telemetry_dir`` as it completes; at the end the spools are merged
-    into the active recorder (if any) and attached to the result as
-    ``result.telemetry``.  Counter totals and span-name counts are then
-    identical between ``jobs=1`` and ``jobs=N`` runs of the same grid —
-    only wall-clock differs.
-
-    ``isolate`` keeps the fork boundary even when only one cell is
-    pending: by default a single-cell sweep with ``jobs > 1`` is clamped
-    to in-process execution (cheaper for sweeps), but a *serving* caller
-    relies on the worker process as a blast shield — a crashing or hung
-    cell must never take the host process with it — so
-    :class:`~repro.robust.pool.ExecutionPool` always passes ``True``.
+    resume.  ``telemetry_dir`` spools every cell execution there under a
+    child of the current trace context (cell ids are grid indices, also on
+    resume) and merges the spools into the active recorder and
+    ``result.telemetry``.  Returns a :class:`SweepResult`; failed cells
+    appear as :class:`SweepFailure` entries instead of aborting the sweep.
     """
-    if retries < 0:
-        raise ValueError("retries must be >= 0")
-    if timeout_s is not None and timeout_s <= 0:
-        raise ValueError("timeout_s must be > 0 or None")
-    policy = RetryPolicy(
-        base_s=backoff_s, cap_s=backoff_cap_s, jitter=backoff_jitter
-    )
-    backoff_rng = policy.rng(backoff_seed)
-    calls = _normalize(params)
-    n = len(calls)
-    result = SweepResult(results=[None] * n)
-
-    telemetry_ctx = None
-    if telemetry_dir is not None:
-        Path(telemetry_dir).mkdir(parents=True, exist_ok=True)
-        clear_spools(telemetry_dir)
-        telemetry_ctx = current_context()
-
-    def run_cell(i: int):
-        """Execute cell ``i`` in-process (spooled when telemetry is on)."""
-        if telemetry_ctx is not None:
-            return _telemetry_cell(
-                fn, calls[i], telemetry_dir,
-                telemetry_ctx.child(f"cell-{i}"), i,
-            )
-        return fn(*calls[i])
-
-    def finish() -> SweepResult:
-        """Merge worker spools into the active recorder before returning."""
-        if telemetry_dir is not None:
-            result.telemetry = merge_spools(telemetry_dir, obs.get_recorder())
-        return result
-
+    config = PoolConfig(jobs=max(jobs, 1), timeout_s=timeout_s, retries=retries)
     done = load_checkpoint(checkpoint) if checkpoint is not None else {}
+    pending = [i for i in range(len(params)) if i not in done]
     ckpt_fh = None
     if checkpoint is not None:
         Path(checkpoint).parent.mkdir(parents=True, exist_ok=True)
         ckpt_fh = open(checkpoint, "a", encoding="utf-8")
 
+    def record(i: int, value) -> None:
+        if ckpt_fh is not None:
+            ckpt_fh.write(_encode_cell(i, value) + "\n")
+            ckpt_fh.flush()
+
     try:
-        recorded: set[int] = set()
-        pending: list[int] = []
-        for i in range(n):
-            if i in done:
-                result.results[i] = done[i]
-                result.resumed += 1
-                recorded.add(i)
-            else:
-                pending.append(i)
-
-        def record(i: int, value) -> None:
-            result.results[i] = value
-            recorded.add(i)
-            if ckpt_fh is not None:
-                ckpt_fh.write(_encode_cell(i, value) + "\n")
-                ckpt_fh.flush()
-
-        def record_failure(i: int, exc_type: str, message: str, attempts: int) -> None:
-            failure = SweepFailure(
-                index=i,
-                error_type=exc_type,
-                message=message,
-                attempts=attempts,
-            )
-            result.results[i] = failure
-            result.failures.append(failure)
-            recorded.add(i)
-            obs.count("sweep.failures")
-
-        max_attempts = retries + 1
-        attempts = {i: 0 for i in pending}
-
-        if not pending:
-            return finish()
-        if isolate and jobs > 1:
-            # Keep at least two pool slots so the fork boundary survives a
-            # single-cell batch (crash isolation beats the idle worker).
-            jobs = min(jobs, max(len(pending), 2))
-        else:
-            jobs = max(1, min(jobs, len(pending)))
-
-        with obs.span("sweep", cells=n, jobs=jobs):
-            if jobs == 1:
-                for i in pending:
-                    while True:
-                        attempts[i] += 1
-                        result.attempts += 1
-                        try:
-                            record(i, run_cell(i))
-                            break
-                        except Exception as exc:  # noqa: BLE001
-                            if attempts[i] >= max_attempts:
-                                record_failure(
-                                    i, type(exc).__name__, str(exc), attempts[i]
-                                )
-                                break
-                            _time.sleep(
-                                policy.delay_s(attempts[i], backoff_rng)
-                            )
-                return finish()
-
-            methods = multiprocessing.get_all_start_methods()
-            ctx = multiprocessing.get_context(
-                "fork" if "fork" in methods else None
-            )
-
-            def submit(pool: ProcessPoolExecutor, i: int) -> Future:
-                """Submit cell ``i``, spool-wrapped when telemetry is on."""
-                if telemetry_ctx is not None:
-                    return pool.submit(
-                        _telemetry_cell,
-                        fn,
-                        calls[i],
-                        os.fspath(telemetry_dir),
-                        telemetry_ctx.child(f"cell-{i}"),
-                        i,
-                    )
-                return pool.submit(fn, *calls[i])
-
-            def settle(
-                i: int, exc: BaseException, label: str, retry_later: list[int]
-            ) -> None:
-                """Record a failed attempt: final failure or requeue."""
-                if attempts[i] >= max_attempts:
-                    record_failure(i, label, str(exc), attempts[i])
-                else:
-                    retry_later.append(i)
-
-            def kill_workers(pool: ProcessPoolExecutor) -> None:
-                """Terminate a broken/hung pool's workers so a wedged or
-                poisoned process cannot linger past the sweep."""
-                try:
-                    for proc in (pool._processes or {}).values():
-                        proc.terminate()
-                except Exception:  # noqa: BLE001 - best effort
-                    pass
-
-            def batch_round(cells: list[int]) -> tuple[list[int], bool]:
-                """One shared-pool round: returns (cells to retry, whether
-                the pool broke).  A broken pool poisons *every* uncollected
-                future with BrokenProcessPool, so blame cannot be assigned
-                here — uncollected cells are requeued uncharged and the
-                caller switches to isolation mode."""
-                pool = ProcessPoolExecutor(max_workers=jobs, mp_context=ctx)
-                futures: dict[Future, int] = {}
-                for i in cells:
-                    attempts[i] += 1
-                    result.attempts += 1
-                    futures[submit(pool, i)] = i
-                retry_later: list[int] = []
-                broken = False
-                try:
-                    remaining = dict(futures)
-                    while remaining:
-                        finished, _ = wait(
-                            remaining,
-                            timeout=timeout_s,
-                            return_when=FIRST_COMPLETED,
-                        )
-                        if not finished:
-                            # Stall timeout: no cell completed for a full
-                            # timeout_s window — every still-running cell
-                            # is declared hung.
-                            raise FutureTimeoutError()
-                        for f in finished:
-                            i = remaining.pop(f)
-                            try:
-                                record(i, f.result())
-                            except BrokenProcessPool:
-                                raise
-                            except Exception as exc:  # noqa: BLE001
-                                settle(i, exc, type(exc).__name__, retry_later)
-                except FutureTimeoutError:
-                    broken = True
-                    timeout_exc = FutureTimeoutError(
-                        f"no completion within {timeout_s:g}s"
-                    )
-                    for f, i in futures.items():
-                        if i in recorded or i in retry_later:
-                            continue
-                        if f.cancel():
-                            # Never started: requeue without burning the
-                            # attempt this pool charged it.
-                            attempts[i] -= 1
-                            result.attempts -= 1
-                            retry_later.append(i)
-                        elif not f.done():
-                            settle(i, timeout_exc, "Timeout", retry_later)
-                except BrokenProcessPool:
-                    broken = True
-                    for f, i in futures.items():
-                        if i in recorded or i in retry_later:
-                            continue
-                        cell_exc = (
-                            f.exception()
-                            if f.done() and not f.cancelled()
-                            else None
-                        )
-                        if f.done() and not f.cancelled() and cell_exc is None:
-                            record(i, f.result())
-                        elif cell_exc is not None and not isinstance(
-                            cell_exc, BrokenProcessPool
-                        ):
-                            settle(
-                                i, cell_exc, type(cell_exc).__name__,
-                                retry_later,
-                            )
-                        else:
-                            # Cannot tell the cell that killed the worker
-                            # from an innocent sibling whose result was
-                            # lost: refund the attempt and let the
-                            # isolation round assign blame exactly.
-                            f.cancel()
-                            attempts[i] -= 1
-                            result.attempts -= 1
-                            retry_later.append(i)
-                finally:
-                    if broken:
-                        kill_workers(pool)
-                        result.pool_restarts += 1
-                    pool.shutdown(wait=not broken, cancel_futures=True)
-                return retry_later, broken
-
-            def isolated_round(cells: list[int]) -> list[int]:
-                """Post-crash mode: each in-flight cell gets its own
-                single-worker pool (up to ``jobs`` pools in parallel), so a
-                broken pool identifies the poisoned cell exactly."""
-                retry_later: list[int] = []
-                pools: dict[Future, tuple[int, ProcessPoolExecutor]] = {}
-                iterator = iter(cells)
-
-                def launch() -> bool:
-                    i = next(iterator, None)
-                    if i is None:
-                        return False
-                    attempts[i] += 1
-                    result.attempts += 1
-                    p = ProcessPoolExecutor(max_workers=1, mp_context=ctx)
-                    pools[submit(p, i)] = (i, p)
-                    return True
-
-                for _ in range(jobs):
-                    if not launch():
-                        break
-                while pools:
-                    finished, _ = wait(
-                        pools, timeout=timeout_s, return_when=FIRST_COMPLETED
-                    )
-                    if not finished:
-                        timeout_exc = FutureTimeoutError(
-                            f"no completion within {timeout_s:g}s"
-                        )
-                        for f, (i, p) in pools.items():
-                            settle(i, timeout_exc, "Timeout", retry_later)
-                            kill_workers(p)
-                            p.shutdown(wait=False, cancel_futures=True)
-                            result.pool_restarts += 1
-                        pools.clear()
-                        for _ in range(jobs):
-                            if not launch():
-                                break
-                        continue
-                    for f in finished:
-                        i, p = pools.pop(f)
-                        crashed = False
-                        try:
-                            record(i, f.result())
-                        except BrokenProcessPool as exc:
-                            crashed = True
-                            settle(i, exc, "BrokenProcessPool", retry_later)
-                        except Exception as exc:  # noqa: BLE001
-                            settle(i, exc, type(exc).__name__, retry_later)
-                        if crashed:
-                            kill_workers(p)
-                            result.pool_restarts += 1
-                        p.shutdown(wait=not crashed, cancel_futures=True)
-                        launch()
-                return retry_later
-
-            queue = list(pending)
-            isolate = False
-            while queue:
-                if isolate:
-                    queue = isolated_round(queue)
-                else:
-                    queue, crashed = batch_round(queue)
-                    # After a crash, stay in isolation mode: correctness of
-                    # blame beats shared-pool throughput once a worker has
-                    # already died.
-                    isolate = isolate or crashed
-                if queue:
-                    max_attempt = max(attempts[i] for i in queue)
-                    _time.sleep(policy.delay_s(max_attempt, backoff_rng))
-                    obs.count("sweep.retries", len(queue))
-                    queue = sorted(queue)
-        return finish()
+        with ExecutionPool(fn, config, telemetry_dir) as pool:
+            result = pool._run([params[i] for i in pending], pending, on_result=record)
     finally:
         if ckpt_fh is not None:
             ckpt_fh.close()
-
-
-def run_sweep(
-    fn: Callable,
-    params: Sequence[object],
-    jobs: int = 1,
-    *,
-    timeout_s: float | None = None,
-    retries: int = 1,
-    backoff_s: float = 0.05,
-    backoff_cap_s: float = DEFAULT_BACKOFF_CAP_S,
-    backoff_jitter: float = DEFAULT_BACKOFF_JITTER,
-    backoff_seed: int | None = 0,
-    checkpoint: str | os.PathLike | None = None,
-    telemetry_dir: str | os.PathLike | None = None,
-    strict: bool = True,
-) -> list:
-    """Strict façade over :func:`run_sweep_robust`: returns the plain
-    results list; if any cell ultimately failed it raises
-    :class:`SweepError` — but only after the whole grid has been driven, so
-    every completed sibling's result (and the checkpoint) survives."""
-    res = run_sweep_robust(
-        fn,
-        params,
-        jobs=jobs,
-        timeout_s=timeout_s,
-        retries=retries,
-        backoff_s=backoff_s,
-        backoff_cap_s=backoff_cap_s,
-        backoff_jitter=backoff_jitter,
-        backoff_seed=backoff_seed,
-        checkpoint=checkpoint,
-        telemetry_dir=telemetry_dir,
-    )
-    if strict and res.failures:
-        raise SweepError(res.failures, res.results)
-    return res.results
+    fresh = dict(zip(pending, result.results))
+    result.results = [fresh[i] if i in fresh else done[i] for i in range(len(params))]
+    result.resumed = len(params) - len(pending)
+    return result
 
 
 # -- demo cell for the CLI ---------------------------------------------------
@@ -594,8 +137,7 @@ def schedule_cell(
     window: int, seed: int, num_blocks: int = 3, lo: int = 4, hi: int = 7
 ) -> tuple[int, int, int, int, int]:
     """One cell of the CLI demo sweep (``repro sweep``): anticipatory vs
-    per-block-local makespan on a seeded random trace at window W.  Module
-    level so process pools can pickle it."""
+    per-block-local makespan on a seeded random trace at window W."""
     from ..core.lookahead import algorithm_lookahead, local_block_orders
     from ..machine.presets import paper_machine
     from ..sim.window import simulate_trace
@@ -634,7 +176,7 @@ def guarded_cell(
     inject byte-identical faults.  Returns ``(window, seed, makespan,
     source, plan_name)`` with ``makespan=-1`` when the injected adversity
     (deadlock, corrupted stream) stopped the simulation — the schedule
-    itself is still verified-legal.  Module level so pools can pickle it."""
+    itself is still verified-legal."""
     from ..machine.presets import paper_machine
     from ..sim.window import SimulationDeadlock, simulate_trace
     from ..workloads.traces import random_trace

@@ -11,10 +11,11 @@ request bursts that exceed the admission queue.
 
 A :class:`ChaosPlan` is a frozen, seeded description of that adversity,
 installed via the same module-global registry pattern as
-:func:`repro.robust.faults.injection` — the daemon's forked pool workers
-inherit the installed plan, and every per-request action is drawn from a
-CRC-seeded RNG keyed by the request id, so a plan replays bit-identically
-and the harness can predict which request suffers what.
+:func:`repro.robust.faults.injection` — the daemon reads the installed
+plan when it dispatches a batch and sends it to the pool workers with each
+request, and every per-request action is drawn from a CRC-seeded RNG keyed
+by the request id, so a plan replays bit-identically and the harness can
+predict which request suffers what.
 
 :func:`run_chaos` boots a real daemon in-process, drives a seeded mix of
 clean and chaotic traffic through it, and asserts the serving tier's core
@@ -152,8 +153,8 @@ def default_chaos_plan(seed: int = 0) -> ChaosPlan:
 
 # ---------------------------------------------------------------------------
 # Active-plan registry (mirrors repro.robust.faults: module-global slot,
-# None by default, installed via context manager; forked pool workers
-# inherit whatever is installed at fork time).
+# None by default, installed via context manager; the service reads it at
+# dispatch and sends it with each request).
 
 _active: ChaosPlan | None = None
 
@@ -235,20 +236,12 @@ def _raw_unix(socket_path, payload: bytes, read_lines: int) -> list[bytes]:
     return lines
 
 
-def _leaked_workers(grace_s: float = 5.0) -> int:
-    """Live child processes after a grace period (the pool tears its
-    workers down per batch; anything that survives the grace is leaked)."""
+def _leaked_workers() -> int:
+    """Live child processes once the daemon has stopped: stopping it
+    closes its pool and reaps every worker, so any survivor is leaked."""
     import multiprocessing
 
-    deadline = time.monotonic() + grace_s
-    while time.monotonic() < deadline:
-        children = [
-            p for p in multiprocessing.active_children() if p.is_alive()
-        ]
-        if not children:
-            return 0
-        time.sleep(0.05)
-    return len([p for p in multiprocessing.active_children() if p.is_alive()])
+    return len(multiprocessing.active_children())
 
 
 def run_chaos(

@@ -167,6 +167,7 @@ class ScheduleServer:
                 pass
             self._batcher = None
         self._executor.shutdown(wait=True)
+        self.service.close()
         if self._access_log is not None:
             self._access_log.close()
             self._access_log = None

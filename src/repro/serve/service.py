@@ -18,7 +18,7 @@ Batch lifecycle
    duplicate digests *within* one batch collapse onto a single compute
    and the duplicates count as hits;
 4. **compute misses** through the :class:`~repro.robust.ExecutionPool`
-   (fresh crash-isolated workers per batch when ``jobs > 1``) and insert
+   (long-lived workers, one request each, when ``jobs > 1``) and insert
    the canonical form of each fresh result;
 5. **respond** in input order.
 
@@ -31,7 +31,7 @@ Overload safety (the robustness layer threaded through the lifecycle):
   are still served (they are nearly free).  The tightest remaining budget
   in a batch also caps the pool's stall timeout, and each dispatched
   document's ``deadline_ms`` is rewritten to its remaining budget so the
-  worker guard inherits it;
+  worker guard receives it;
 - each scheduler class has a :class:`~repro.serve.admission.CircuitBreaker`
   (K consecutive compute failures open it; while open, cache misses for
   that class short-circuit with ``breaker_open`` instead of burning pool
@@ -61,6 +61,7 @@ from __future__ import annotations
 import os
 import time
 import uuid
+from functools import partial
 from pathlib import Path
 
 from ..core.schedule import schedule_digest
@@ -71,6 +72,7 @@ from ..obs.recorder import SpanRecord
 from ..obs.runreport import RunReport, collect_provenance
 from ..obs.timeseries import SLOTracker, TimeSeriesStore, burn_rate_gauges
 from ..robust.pool import ExecutionPool, PoolConfig
+from . import chaos
 from .admission import BreakerBoard
 from .cache import ScheduleCache
 from .canonical import CanonicalForm, canonical_form
@@ -83,7 +85,7 @@ from .protocol import (
     trace_from_wire,
 )
 from .tracebuf import RequestTrace, TraceBuffer
-from .worker import compute_request, configure_guard
+from .worker import compute_request
 
 #: Guard degradation reasons that count as *failures* for the circuit
 #: breaker.  ``node_budget`` degradations are deterministic policy (the
@@ -155,7 +157,11 @@ class ScheduleService:
         # delete the daemon's own per-batch spool files one level up.
         pool_spool = Path(spool_dir) / "pool" if spool_dir is not None else None
         self.pool = ExecutionPool(
-            compute_request,
+            partial(
+                compute_request,
+                time_budget_s=guard_budget_s,
+                node_budget=node_budget,
+            ),
             PoolConfig(jobs=jobs, timeout_s=timeout_s, retries=retries),
             telemetry_dir=pool_spool,
         )
@@ -186,12 +192,11 @@ class ScheduleService:
         #: /stats and /metrics can surface queue depth and shed counts;
         #: None when the service is driven directly (tests, CLI).
         self.admission = None
-        # Guard budgets are process-global so fork-based pool workers
-        # inherit them (the pool forks fresh per batch).
-        configure_guard(
-            time_budget_s=guard_budget_s, node_budget=node_budget
-        )
         self.started_monotonic = time.monotonic()
+
+    def close(self) -> None:
+        """Stop the pool's workers; a later batch starts new ones."""
+        self.pool.close()
 
     # -- public entry points -------------------------------------------------
 
@@ -388,6 +393,7 @@ class ScheduleService:
             if pending:
                 order = list(pending.values())
                 t_dispatch = time.perf_counter_ns()
+                plan = chaos.active_plan()
                 items = []
                 budgets_s = []
                 for group in order:
@@ -395,14 +401,14 @@ class ScheduleService:
                     deadline_ns = group[0]["deadline_ns"]
                     if deadline_ns is not None:
                         # Rewrite the wire deadline to the budget actually
-                        # left at dispatch, so the worker guard inherits a
+                        # left at dispatch, so the worker guard receives a
                         # deadline that accounts for queueing and decode.
                         left_s = max(
                             (deadline_ns - t_dispatch) / 1e9, 1e-6
                         )
                         item["deadline_ms"] = left_s * 1e3
                         budgets_s.append(left_s)
-                    items.append(item)
+                    items.append((item, plan))
                 # The tightest remaining deadline caps the pool's stall
                 # timeout — nobody waits on a compute whose requester has
                 # already given up (floored so a near-dead budget doesn't

@@ -1,13 +1,11 @@
 """The service's compute kernel: schedule one request under the robust
 guard, ground-truth it in the window simulator, return plain data.
 
-:func:`compute_request` is deliberately a **module-level function of one
-JSON-able argument returning a JSON-able dict** so it satisfies the
-picklability contract of :class:`repro.robust.ExecutionPool` — the daemon
-can dispatch batches to fork-based worker processes and inherit the sweep
-driver's timeout/retry/crash-blame machinery unchanged.  Everything a
-response or cache entry needs is in the returned dict; no live objects
-cross the process boundary.
+:func:`compute_request` takes a JSON-able wire document and returns a
+JSON-able dict, so it can run in the long-lived workers of a
+:class:`repro.robust.ExecutionPool`: items and results cross the pipe
+pickled, and no live objects cross the process boundary.  Everything a
+response or cache entry needs is in the returned dict.
 
 Scheduling runs through :class:`~repro.robust.guard.GuardedScheduler`
 with the request's own scheduler as the guarded primary: the emitted
@@ -17,14 +15,15 @@ untouched), but a budget blowout, crash-adjacent exception or verifier
 rejection degrades to the verified always-legal per-block fallback, and
 the result dict carries a ``"degraded"`` diagnostic the service surfaces
 on the response and keeps out of the cache.  The guard's time budget is
-the smaller of the configured worker budget (:func:`configure_guard`,
-inherited by forked pool workers) and the request's remaining
+the smaller of the service's worker budget (bound into the pool's
+callable with :func:`functools.partial`) and the request's remaining
 ``deadline_ms``.
 
-Chaos hooks: when a :mod:`repro.serve.chaos` plan is installed, the plan
-decides per request id whether this compute exits hard, hangs past the
-pool's stall timeout, or schedules slowly enough to degrade — the
-serve-tier fault injection the chaos harness drives.
+Chaos hooks: the service sends the installed :mod:`repro.serve.chaos`
+plan with each request; the plan decides per request id whether this
+compute exits hard, hangs past the pool's stall timeout, or schedules
+slowly enough to degrade — the serve-tier fault injection the chaos
+harness drives.
 """
 
 from __future__ import annotations
@@ -47,24 +46,8 @@ from ..schedulers import (
     source_order_priority,
 )
 from ..sim import simulate_trace
-from . import chaos
+from .chaos import ChaosPlan
 from .protocol import ScheduleRequest
-
-#: Process-wide guard defaults (inherited by fork-based pool workers; the
-#: service sets them once at construction via :func:`configure_guard`).
-_guard_config: dict = {"time_budget_s": None, "node_budget": None}
-
-
-def configure_guard(
-    time_budget_s: float | None = None, node_budget: int | None = None
-) -> dict:
-    """Set the worker-side guard budgets for this process (and, through
-    fork inheritance, for every pool worker it spawns).  Returns the
-    previous configuration so tests can restore it."""
-    previous = dict(_guard_config)
-    _guard_config["time_budget_s"] = time_budget_s
-    _guard_config["node_budget"] = node_budget
-    return previous
 
 
 @contextmanager
@@ -110,10 +93,11 @@ def compute_block_orders(
     raise ValueError(f"unknown scheduler {scheduler!r}")
 
 
-def _guard_budget_s(request: ScheduleRequest) -> float | None:
-    """The effective time budget: the configured worker budget tightened
-    to the request's remaining deadline (whichever is smaller)."""
-    budget = _guard_config["time_budget_s"]
+def _guard_budget_s(
+    request: ScheduleRequest, budget: float | None
+) -> float | None:
+    """The effective time budget: the worker budget tightened to the
+    request's remaining deadline (whichever is smaller)."""
     if request.deadline_ms is not None:
         deadline_s = request.deadline_ms / 1e3
         budget = deadline_s if budget is None else min(budget, deadline_s)
@@ -121,7 +105,10 @@ def _guard_budget_s(request: ScheduleRequest) -> float | None:
 
 
 def compute_schedule(
-    request: ScheduleRequest, primary_delay_s: float | None = None
+    request: ScheduleRequest,
+    primary_delay_s: float | None = None,
+    time_budget_s: float | None = None,
+    node_budget: int | None = None,
 ) -> dict:
     """Schedule + simulate one decoded request under the guard.
 
@@ -138,6 +125,7 @@ def compute_schedule(
     ``primary_delay_s`` injects a sleep *inside* the guarded primary —
     the chaos harness's slow-scheduler fault; the guard's budget is the
     mechanism that turns it into a degradation instead of a hang.
+    ``time_budget_s`` and ``node_budget`` are the guard's budgets.
     """
 
     def primary(trace: Trace, machine: MachineModel) -> list[list[str]]:
@@ -147,8 +135,8 @@ def compute_schedule(
 
     guard = GuardedScheduler(
         machine=request.machine,
-        time_budget_s=_guard_budget_s(request),
-        node_budget=_guard_config["node_budget"],
+        time_budget_s=_guard_budget_s(request, time_budget_s),
+        node_budget=node_budget,
         primary=primary,
     )
     with request_trace_context(request.trace_id, request.parent_span_id):
@@ -187,17 +175,22 @@ def compute_schedule(
     return out
 
 
-def compute_request(doc: Mapping) -> dict:
-    """Picklable pool entry point: wire dict in, result dict out.
+def compute_request(
+    doc: Mapping,
+    plan: ChaosPlan | None = None,
+    time_budget_s: float | None = None,
+    node_budget: int | None = None,
+) -> dict:
+    """Pool entry point: wire dict in, result dict out.
 
-    When a chaos plan is installed (inherited across the fork), the plan
-    may order this compute to die or hang before any work happens — the
-    crash-blame and stall-timeout paths the pool exists for — or to run
-    its primary slowly enough that the guard degrades it.
+    ``plan`` is the chaos plan sent with the request, if any: it may order
+    this compute to die or hang before any work happens — the crash-blame
+    and stall-timeout paths the pool exists for — or to run its primary
+    slowly enough that the guard degrades it.  ``time_budget_s`` and
+    ``node_budget`` are the guard's budgets.
     """
     request = ScheduleRequest.from_dict(doc)
     delay_s = None
-    plan = chaos.active_plan()
     if plan is not None:
         action = plan.worker_action(request.id)
         if action == "exit":
@@ -206,4 +199,4 @@ def compute_request(doc: Mapping) -> dict:
             time.sleep(plan.hang_s)
         elif action == "slow":
             delay_s = plan.slow_s
-    return compute_schedule(request, primary_delay_s=delay_s)
+    return compute_schedule(request, delay_s, time_budget_s, node_budget)

@@ -72,7 +72,7 @@ def _explode_on_three(x):
 class TestExecutionPool:
     def test_map_in_process(self):
         pool = ExecutionPool(_square)
-        assert pool.map([1, 2, 3]) == [1, 4, 9]
+        assert pool.run([1, 2, 3]).results == [1, 4, 9]
         assert pool.batches == 1
 
     def test_run_isolates_failures_in_order(self):
@@ -84,12 +84,17 @@ class TestExecutionPool:
 
     def test_map_raises_on_failure(self):
         pool = ExecutionPool(_explode_on_three, PoolConfig(retries=0))
-        with pytest.raises(SweepError, match="boom"):
-            pool.map([3])
+        result = pool.run([3])
+        assert result.results == result.failures
+        assert [(f.error_type, f.message) for f in result.failures] == [
+            ("RuntimeError", "boom")
+        ]
+        assert "boom" in str(SweepError(result.failures, result.results))
 
     def test_forked_workers(self):
-        pool = ExecutionPool(_square, PoolConfig(jobs=2))
-        assert pool.map(list(range(8))) == [x * x for x in range(8)]
+        with ExecutionPool(_square, PoolConfig(jobs=2)) as pool:
+            result = pool.run(list(range(8)))
+        assert result.results == [x * x for x in range(8)]
 
     def test_stats_accumulate_across_batches(self):
         pool = ExecutionPool(_square)
@@ -103,18 +108,7 @@ class TestExecutionPool:
             PoolConfig(jobs=0)
         with pytest.raises(ValueError, match="retries"):
             PoolConfig(retries=-1)
+        for timeout_s in (0, -1.0):
+            with pytest.raises(ValueError, match="timeout_s"):
+                PoolConfig(timeout_s=timeout_s)
 
-
-class TestSweepIntegration:
-    def test_results_independent_of_jitter_seed(self):
-        from repro.robust.sweep import run_sweep_robust
-
-        a = run_sweep_robust(
-            _square, [1, 2, 3], retries=1, backoff_s=0.001,
-            backoff_cap_s=0.002, backoff_seed=1,
-        )
-        b = run_sweep_robust(
-            _square, [1, 2, 3], retries=1, backoff_s=0.001,
-            backoff_cap_s=0.002, backoff_seed=99,
-        )
-        assert a.results == b.results == [1, 4, 9]

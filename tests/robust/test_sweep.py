@@ -12,7 +12,6 @@ from repro.robust.sweep import (
     SweepError,
     SweepFailure,
     load_checkpoint,
-    run_sweep,
     run_sweep_robust,
     schedule_cell,
 )
@@ -65,12 +64,12 @@ class TestSerial:
         assert res.results == [(1, 2), (3, 4)]
 
     def test_transient_failure_retried(self):
-        res = run_sweep_robust(flaky, [11, 12], retries=2, backoff_s=0.001)
+        res = run_sweep_robust(flaky, [11, 12], retries=2)
         assert res.results == [111, 112]
         assert res.attempts == 4  # one retry each
 
     def test_exhausted_retries_become_sweep_failure(self):
-        res = run_sweep_robust(boom, [1, 2, 3], retries=1, backoff_s=0.001)
+        res = run_sweep_robust(boom, [1, 2, 3], retries=1)
         assert res.results[0] == 10 and res.results[2] == 30
         failure = res.results[1]
         assert isinstance(failure, SweepFailure)
@@ -86,20 +85,6 @@ class TestSerial:
             run_sweep_robust(square, [1], timeout_s=0)
 
 
-class TestStrictFacade:
-    def test_returns_plain_results(self):
-        assert run_sweep(square, [1, 2, 3]) == [1, 4, 9]
-
-    def test_raises_after_driving_whole_grid(self):
-        with pytest.raises(SweepError) as info:
-            run_sweep(boom, [1, 2, 3], retries=0, backoff_s=0.001)
-        exc = info.value
-        # Every sibling's result survives on the exception.
-        assert exc.results[0] == 10 and exc.results[2] == 30
-        assert len(exc.failures) == 1
-        assert "cell 1" in str(exc)
-
-
 class TestPool:
     def test_pool_results_in_input_order(self):
         res = run_sweep_robust(square, [1, 2, 3, 4], jobs=2)
@@ -112,18 +97,22 @@ class TestPool:
         assert res.results[1].error_type == "ValueError"
 
     def test_worker_death_does_not_lose_sibling_results(self):
-        # Regression: the old run_sweep called future.result() with no
-        # isolation, so one os._exit worker aborted the whole sweep with
-        # BrokenProcessPool and every sibling result was lost.
+        # Regression: an early sweep driver let one os._exit worker abort
+        # the whole sweep, and every sibling result was lost.
         res = run_sweep_robust(
-            hard_exit, [0, 1, 2, 3, 4, 5], jobs=2, retries=1, backoff_s=0.001
+            hard_exit, [0, 1, 2, 3, 4, 5], jobs=2, retries=1
         )
         failure = res.results[2]
         assert isinstance(failure, SweepFailure)
-        assert failure.error_type == "BrokenProcessPool"
+        assert failure.error_type == "WorkerDied"
+        assert "exited with code 13" in failure.message
+        assert failure.attempts == 2
         for i in (0, 1, 3, 4, 5):
             assert res.results[i] == i * 10
-        assert res.pool_restarts >= 1
+        # Blame is exact: each sibling ran once, the dying cell twice, and
+        # each death cost exactly one worker.
+        assert res.attempts == 7
+        assert res.pool_restarts == 2
 
     def test_stall_timeout_abandons_hung_cell(self):
         started = time.perf_counter()
@@ -166,7 +155,7 @@ class TestCheckpoint:
     def test_failures_are_not_checkpointed(self, tmp_path):
         ck = tmp_path / "sweep.jsonl"
         res = run_sweep_robust(
-            boom, [1, 2, 3], retries=0, backoff_s=0.001, checkpoint=ck
+            boom, [1, 2, 3], retries=0, checkpoint=ck
         )
         assert not res.ok
         done = load_checkpoint(ck)
@@ -201,6 +190,15 @@ class TestBenchmarksFacade:
     def test_plain_results(self, common):
         assert common.run_sweep(square, [1, 2, 3]) == [1, 4, 9]
 
+    def test_raises_after_driving_whole_grid(self, common):
+        with pytest.raises(SweepError) as info:
+            common.run_sweep(boom, [1, 2, 3], jobs=1, retries=0)
+        exc = info.value
+        # Every sibling's result survives on the exception.
+        assert exc.results[0] == 10 and exc.results[2] == 30
+        assert len(exc.failures) == 1
+        assert "cell 1" in str(exc)
+
     def test_sibling_results_survive_worker_death(self, common):
         with pytest.raises(SweepError) as info:
             common.run_sweep(hard_exit, [0, 1, 2, 3, 4, 5], jobs=2)
@@ -227,13 +225,13 @@ class TestSpoolCrashSafety:
         with recording() as rec:
             res = run_sweep_robust(
                 hard_exit, [0, 1, 2, 3, 4, 5], jobs=2, retries=1,
-                backoff_s=0.001, telemetry_dir=tmp_path,
+                telemetry_dir=tmp_path,
             )
 
         # The sweep behaves exactly as without telemetry: the dead cell is
-        # a BrokenProcessPool failure, every sibling completes.
+        # a WorkerDied failure, every sibling completes.
         assert isinstance(res.results[2], SweepFailure)
-        assert res.results[2].error_type == "BrokenProcessPool"
+        assert res.results[2].error_type == "WorkerDied"
         for i in (0, 1, 3, 4, 5):
             assert res.results[i] == i * 10
 
@@ -248,12 +246,11 @@ class TestSpoolCrashSafety:
 
         # Completed cells were recovered into the merged telemetry and the
         # session recorder — one sweep.cell span per completed execution
-        # (retries may re-execute a sibling that was in flight when the
-        # pool broke, so >= is the correct bound).
+        # (blame is exact, so no innocent sibling is ever re-run).
         merge = res.telemetry
         assert merge is not None
         assert {c.cell for c in merge.cells} == spooled
-        assert len(merge.cells) >= 5
+        assert len(merge.cells) == 5
         recovered = [s for s in rec.spans if s.name == "sweep.cell"]
         assert len(recovered) == len(merge.cells)
         assert {s.attrs["cell"] for s in recovered} == spooled

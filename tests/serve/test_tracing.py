@@ -132,7 +132,10 @@ class TestCrossProcessHop:
             _doc(seed=8, trace_id="feedbeef"),
             _doc(seed=9, trace_id="deadc0de"),
         ]
-        responses = svc.handle_batch(docs)
+        try:
+            responses = svc.handle_batch(docs)
+        finally:
+            svc.close()
         assert all(r["ok"] for r in responses)
         merge = merge_spools(tmp_path / "spool" / "pool")
         worker_spans = [
@@ -150,8 +153,11 @@ class TestCrossProcessHop:
         """Worker spool clears must not eat the daemon's own per-batch
         spools: the pool spools into ``spool/pool``."""
         svc = ScheduleService(jobs=2, spool_dir=tmp_path / "spool")
-        svc.handle(_doc(seed=10))
-        svc.handle(_doc(seed=11))
+        try:
+            svc.handle(_doc(seed=10))
+            svc.handle(_doc(seed=11))
+        finally:
+            svc.close()
         daemon_cells = merge_spools(tmp_path / "spool").cells
         assert daemon_cells  # per-batch daemon spools survived both batches
 

@@ -483,3 +483,17 @@ class TestTop:
                          "--interval", "0", "--frames", "1"]) == 0
         out = capsys.readouterr().out
         assert "repro top" in out and "requests 1" in out
+
+
+class TestServe:
+    @pytest.mark.parametrize(
+        "flags, name",
+        [(["--timeout-s", "0"], "timeout_s"), (["--jobs", "0"], "jobs")],
+    )
+    def test_bad_pool_option_is_usage_error(self, tmp_path, capsys, flags, name):
+        sock = tmp_path / "s.sock"
+        assert main(["serve", "--socket", str(sock), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err
+        assert "Traceback" not in err
+        assert not sock.exists()  # never started listening
