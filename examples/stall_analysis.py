@@ -3,10 +3,12 @@
 
 Demonstrates the analysis tooling on top of the core algorithms:
 
-1. stall attribution (`repro.sim.explain`) — each stalled cycle is traced to
-   a dependence latency, a window limit, or a resource conflict; the
-   window-limited stalls are exactly what anticipatory scheduling targets;
-2. the cycle-by-cycle event log;
+1. stall attribution (`repro.obs.stall_attribution`) — the simulator's
+   trace gives each stalled cycle one cause: a dependence latency, an
+   unissued predecessor, a window limit, a resource conflict or a barrier;
+   the window-limited stalls are exactly what anticipatory scheduling
+   targets;
+2. the cycle-by-cycle log of the same trace;
 3. whole-CFG expected completion (`repro.sim.evaluate_cfg`) — the
    trace-scheduling contrast: hot-path anticipation with a bounded cold-path
    cost.
@@ -15,10 +17,10 @@ Run:  python examples/stall_analysis.py
 """
 
 from repro import algorithm_lookahead, paper_machine
-from repro.analysis import format_table
+from repro.analysis import cycle_log, format_table, stall_attribution_summary
 from repro.core import local_block_orders
 from repro.ir import ControlFlowGraph, Trace, block_from_graph
-from repro.sim import evaluate_cfg, event_log, explain_stalls, simulate_trace
+from repro.sim import evaluate_cfg, simulate_trace
 from repro.workloads import figure2_trace, random_dag
 
 
@@ -30,12 +32,10 @@ def stall_study() -> None:
     ):
         machine = paper_machine(2)
         orders = orders_fn(machine)
-        sim = simulate_trace(trace, orders, machine)
-        stream = [n for order in orders for n in order]
-        report = explain_stalls(trace.graph, stream, sim, machine)
+        sim = simulate_trace(trace, orders, machine, collect_trace=True)
         print(f"\n=== {label}: completion {sim.makespan} cycles ===")
-        print(report.summary())
-        for line in event_log(trace.graph, stream, sim, machine):
+        print(stall_attribution_summary(sim.trace))
+        for line in cycle_log(sim.trace):
             print(" ", line)
 
 

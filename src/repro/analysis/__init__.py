@@ -11,6 +11,7 @@ from .metrics import (
     utilization,
 )
 from .report import (
+    cycle_log,
     format_markdown_table,
     format_table,
     phase_summary,
@@ -32,6 +33,7 @@ __all__ = [
     "OutputError",
     "check_block_orders",
     "check_runtime_legality",
+    "cycle_log",
     "format_markdown_table",
     "format_table",
     "gap_recovered",

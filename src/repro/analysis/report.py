@@ -73,7 +73,8 @@ def print_table(
 
 def trace_summary(trace) -> str:
     """Stall/occupancy summary of a :class:`~repro.obs.events.SimTrace`:
-    issue and stall totals, stall causes, and window-occupancy statistics."""
+    issue and stall totals and window-occupancy statistics (the stall
+    causes are :func:`stall_attribution_summary`)."""
     counts = trace.counts()
     occupancy = list(trace.occupancy_by_cycle().values())
     rows = [
@@ -82,8 +83,6 @@ def trace_summary(trace) -> str:
         ["cycles traced", trace.max_cycle + 1 if trace.events else 0],
         ["issues", counts.get("issue", 0)],
         ["stall cycles", trace.stall_cycles],
-        ["  dependence/resource stalls", trace.stall_cycles - trace.barrier_stall_cycles],
-        ["  barrier-wait stalls", trace.barrier_stall_cycles],
         ["window advances", counts.get("window_advance", 0)],
         ["barrier releases", counts.get("barrier_release", 0)],
     ]
@@ -94,6 +93,31 @@ def trace_summary(trace) -> str:
         rows.append(["max window occupancy", max(occupancy)])
     title = "simulation summary" + (f" — {trace.label}" if trace.label else "")
     return format_table(["metric", "value"], rows, title=title)
+
+
+def cycle_log(trace) -> list[str]:
+    """Cycle-by-cycle timeline of a :class:`~repro.obs.events.SimTrace`:
+    one line per cycle with its issues, window advances, stalls (cause and
+    reason) and the window occupancy at the end of the cycle."""
+    lines: list[str] = []
+    for cycle, events in trace.events_by_cycle().items():
+        parts = []
+        for e in events:
+            if e.kind == "issue":
+                unit = f" [{e.unit}]" if e.unit else ""
+                parts.append(f"issue {e.node}{unit}")
+            elif e.kind == "window_advance":
+                parts.append(e.detail or f"advance head -> {e.head}")
+            else:
+                tag = e.kind.upper() + (f" ({e.cause})" if e.cause else "")
+                parts.append(f"{tag}: {e.detail}" if e.detail else tag)
+        occ = next(
+            (e.occupancy for e in reversed(events) if e.occupancy is not None),
+            None,
+        )
+        occ_txt = f"  [window occupancy {occ}]" if occ is not None else ""
+        lines.append(f"cycle {cycle:>5}: " + "; ".join(parts) + occ_txt)
+    return lines
 
 
 def phase_summary(recorder) -> str:

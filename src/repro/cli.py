@@ -42,6 +42,7 @@ from pathlib import Path
 from . import __version__
 from .analysis.dot import loop_to_dot, trace_to_dot
 from .analysis.report import (
+    cycle_log,
     format_table,
     render_report_diff,
     render_run_report,
@@ -245,23 +246,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
         if trace.label:
             print(f"== {trace.label} "
                   f"(W={trace.window_size}, {trace.num_instructions} instructions)")
-        for cycle, events in trace.events_by_cycle().items():
-            parts = []
-            for e in events:
-                if e.kind == "issue":
-                    unit = f" [{e.unit}]" if e.unit else ""
-                    parts.append(f"issue {e.node}{unit}")
-                elif e.kind == "window_advance":
-                    parts.append(e.detail or f"advance head -> {e.head}")
-                else:
-                    parts.append(f"{e.kind.upper()}: {e.detail}" if e.detail
-                                 else e.kind.upper())
-            occ = next(
-                (e.occupancy for e in reversed(events) if e.occupancy is not None),
-                None,
-            )
-            occ_txt = f"  [window occupancy {occ}]" if occ is not None else ""
-            print(f"cycle {cycle:>5}: " + "; ".join(parts) + occ_txt)
+        for line in cycle_log(trace):
+            print(line)
         print(f"total: {trace.issue_count} issues, {trace.stall_cycles} stall "
               f"cycles, {trace.window_advances} window advances")
         total_stalls += trace.stall_cycles
@@ -784,15 +770,17 @@ def _daemon_fetch(addr: str):
 def cmd_top(args: argparse.Namespace) -> int:
     """Live terminal view of a running sweep's spool directory, or — with
     ``--connect`` — of a running scheduling daemon."""
-    from .obs.expo import watch_daemon, watch_spools
+    from .obs.expo import daemon_snapshot, top_snapshot, watch
+    from .obs.pipeline import merge_spools
 
     if args.connect:
         try:
-            watch_daemon(
+            watch(
                 _daemon_fetch(args.connect),
+                daemon_snapshot,
+                args.connect,
                 interval_s=args.interval_s,
                 iterations=args.frames,
-                label=args.connect,
             )
         except (ConnectionError, OSError) as exc:
             print(f"error: cannot reach daemon at {args.connect}: {exc}",
@@ -806,8 +794,12 @@ def cmd_top(args: argparse.Namespace) -> int:
     if not Path(args.spool_dir).is_dir():
         print(f"error: {args.spool_dir} is not a directory", file=sys.stderr)
         return 2
-    watch_spools(
-        args.spool_dir, interval_s=args.interval_s, iterations=args.frames
+    watch(
+        lambda: merge_spools(args.spool_dir),
+        top_snapshot,
+        args.spool_dir,
+        interval_s=args.interval_s,
+        iterations=args.frames,
     )
     return 0
 

@@ -68,7 +68,7 @@ from .profiler import (
     profile_overhead,
     write_flamegraph,
 )
-from .expo import prometheus_text, top_snapshot, watch_spools
+from .expo import prometheus_text, top_snapshot, watch
 
 __all__ = [
     "CellTelemetry",
@@ -88,7 +88,7 @@ __all__ = [
     "spool_path",
     "spooled_cell",
     "top_snapshot",
-    "watch_spools",
+    "watch",
     "write_flamegraph",
     "Counter",
     "Delta",

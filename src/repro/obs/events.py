@@ -11,9 +11,12 @@ Event kinds
 ``issue``
     An instruction left the window and started executing (``node``, ``unit``).
 ``stall``
-    A cycle before the last issue in which nothing issued; ``detail`` names
-    the soonest-ready window instruction and what it is waiting on
-    (dependence latency, unissued predecessor, or busy functional units).
+    A cycle before the last issue in which nothing issued.  ``node`` is the
+    window head, ``cause`` one of
+    :data:`~repro.obs.metrics.STALL_CAUSES` and ``detail`` the reason: the
+    head waits on a dependence latency or an unissued predecessor, its
+    functional units are busy, or an instruction beyond the window is
+    ready while the head pins the window (``window``).
 ``barrier_wait``
     A stall cycle spent waiting on a misprediction barrier (window flush):
     the head may not issue until the barrier releases plus its penalty.

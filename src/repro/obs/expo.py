@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 import time
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .pipeline import SpoolMerge, merge_spools
+from .metrics import Counter, Gauge, Histogram, MetricsRegistry, nearest_rank
+from .pipeline import SpoolMerge
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 _LABEL_RE = re.compile(r"[^a-zA-Z0-9_]")
@@ -119,14 +120,6 @@ def prometheus_text(
 # -- repro top ----------------------------------------------------------------
 
 
-def _percentile(sorted_values: Sequence[float], p: float) -> float | None:
-    """Nearest-rank percentile of an ascending sequence."""
-    if not sorted_values:
-        return None
-    rank = max(1, math.ceil(len(sorted_values) * p / 100.0))
-    return sorted_values[rank - 1]
-
-
 #: Counter prefixes surfaced in the ``repro top`` reliability section.
 TOP_COUNTER_PREFIXES = ("guard.", "faults.", "sweep.", "fuzz.")
 
@@ -174,11 +167,7 @@ def top_snapshot(
                 rate = f"{(calls - prev_counts.get(name, 0)) / dt_s:8.1f}"
             else:
                 rate = f"{'-':>8}"
-            p50, p90, p99 = (
-                _percentile(values, 50),
-                _percentile(values, 90),
-                _percentile(values, 99),
-            )
+            p50, p90, p99 = (nearest_rank(values, p) for p in (50, 90, 99))
             lines.append(
                 f"{name[:24]:<24} {calls:>7} {rate} "
                 f"{p50 * 1e3:8.2f} {p90 * 1e3:8.2f} {p99 * 1e3:8.2f} "
@@ -331,83 +320,44 @@ def daemon_snapshot(
     return "\n".join(lines)
 
 
-def watch_daemon(
+def watch(
     fetch,
+    render,
+    label: str,
     interval_s: float = 1.0,
     iterations: int | None = None,
     out=None,
     clock=time.monotonic,
     sleep=time.sleep,
-    label: str = "",
 ) -> int:
-    """The ``repro top --connect`` loop: call ``fetch()`` (which returns a
-    ``/debug/top`` document) every ``interval_s`` and render a fresh
-    :func:`daemon_snapshot` frame.  Returns the number of frames."""
-    import sys
-
+    """The ``repro top`` loop: every ``interval_s`` call ``fetch()`` and
+    print ``render(doc, previous_doc, dt_s)`` as a fresh frame headed by
+    ``label`` (ANSI clear between frames).  ``render`` is
+    :func:`top_snapshot` over a spool merge or :func:`daemon_snapshot` over
+    a daemon's ``/debug/top`` document.  ``iterations`` bounds the number
+    of frames (``None`` = until interrupted).  Returns the number of frames
+    rendered."""
     out = out or sys.stdout
     frames = 0
-    previous: Mapping | None = None
+    previous = None
     last_t: float | None = None
     try:
         while iterations is None or frames < iterations:
+            if frames:
+                sleep(interval_s)
             doc = fetch()
             now = clock()
             dt = (now - last_t) if last_t is not None else None
             if frames:
                 out.write("\x1b[2J\x1b[H")
             out.write(
-                f"repro top — {label or 'daemon'}  "
+                f"repro top — {label}  "
                 f"(refresh {interval_s:g}s, frame {frames + 1})\n"
             )
-            out.write(daemon_snapshot(doc, previous, dt) + "\n")
+            out.write(render(doc, previous, dt) + "\n")
             out.flush()
             previous, last_t = doc, now
             frames += 1
-            if iterations is not None and frames >= iterations:
-                break
-            sleep(interval_s)
-    except KeyboardInterrupt:
-        pass
-    return frames
-
-
-def watch_spools(
-    directory: str,
-    interval_s: float = 1.0,
-    iterations: int | None = None,
-    out=None,
-    clock=time.monotonic,
-    sleep=time.sleep,
-) -> int:
-    """The ``repro top`` loop: re-read ``directory`` every ``interval_s``
-    and print a fresh snapshot (ANSI clear between frames).  ``iterations``
-    bounds the number of frames (``None`` = until interrupted).  Returns the
-    number of frames rendered."""
-    import sys
-
-    out = out or sys.stdout
-    frames = 0
-    previous: SpoolMerge | None = None
-    last_t: float | None = None
-    try:
-        while iterations is None or frames < iterations:
-            merge = merge_spools(directory)
-            now = clock()
-            dt = (now - last_t) if last_t is not None else None
-            if frames:
-                out.write("\x1b[2J\x1b[H")
-            out.write(
-                f"repro top — {directory}  "
-                f"(refresh {interval_s:g}s, frame {frames + 1})\n"
-            )
-            out.write(top_snapshot(merge, previous, dt) + "\n")
-            out.flush()
-            previous, last_t = merge, now
-            frames += 1
-            if iterations is not None and frames >= iterations:
-                break
-            sleep(interval_s)
     except KeyboardInterrupt:
         pass
     return frames

@@ -10,7 +10,9 @@ full **stall attribution** breakdown.
 Stall attribution
 -----------------
 
-Every distinct stalled cycle of a trace is attributed to exactly one cause:
+Every distinct stalled cycle of a trace is attributed to exactly one cause.
+The simulator classifies each one against the window head, in the order
+barrier, resource, window, then predecessor or dependence:
 
 ``dependence``
     The head-of-window instruction waits on a dependence *latency* — its
@@ -18,8 +20,13 @@ Every distinct stalled cycle of a trace is attributed to exactly one cause:
 ``predecessor``
     The head waits on a predecessor that has not even issued yet (typically
     sitting later in the stream, reachable only once the window advances).
+``window``
+    The head is not ready, but an unissued instruction *beyond* the window
+    is: the lookahead is pinned by a stalled head (paper §2.3).  This is
+    the stall anticipatory scheduling recovers, by ordering each block so
+    its idle slots fall late, within reach of the next block.
 ``resource``
-    An instruction was ready but every compatible functional unit was busy.
+    The head was ready but every compatible functional unit was busy.
 ``barrier``
     The cycle was spent waiting on a misprediction barrier (window flush).
 
@@ -34,15 +41,25 @@ stalled cycle up to the point progress stopped.
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .events import STALL_KINDS, SimEvent, SimTrace
 
-#: The stall-attribution categories, in reporting order.
-STALL_CAUSES = ("dependence", "predecessor", "resource", "barrier")
+#: The stall-attribution categories, in reporting order; see the module
+#: docstring for each cause.
+STALL_CAUSES = ("dependence", "predecessor", "window", "resource", "barrier")
 
 #: Percentiles reported in histogram summaries.
 SUMMARY_PERCENTILES = (50, 90, 99)
+
+
+def nearest_rank(sorted_values: Sequence[float], p: float) -> float | None:
+    """Nearest-rank ``p``-th percentile of an ascending sequence: the
+    smallest value with at least ``p`` percent of the values at or below
+    it (``None`` when empty)."""
+    if not sorted_values:
+        return None
+    return sorted_values[max(1, math.ceil(len(sorted_values) * p / 100.0)) - 1]
 
 
 class Counter:

@@ -37,11 +37,9 @@ does not compare.
 
 from __future__ import annotations
 
-import argparse
 import json
 import random
 import socket
-import sys
 import tempfile
 import time
 import zlib
@@ -652,57 +650,3 @@ def run_chaos(
     if report_path:
         report.write(report_path)
     return report
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro serve-chaos",
-        description=__doc__.split("\n\n")[0],
-    )
-    parser.add_argument("--requests", type=int, default=36,
-                        help="chaotic pipelined requests (default 36)")
-    parser.add_argument("--burst", type=int, default=48,
-                        help="concurrent overload-burst requests (default 48)")
-    parser.add_argument("--queue-capacity", type=int, default=8,
-                        help="admission queue capacity under test (default 8)")
-    parser.add_argument("--jobs", type=int, default=2,
-                        help="service worker processes (default 2; crash/hang "
-                             "chaos needs >= 2)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--report", default=None, metavar="PATH",
-                        help="write the RunReport JSON here")
-    parser.add_argument("--json", action="store_true",
-                        help="print the RunReport to stdout")
-    args = parser.parse_args(argv)
-    try:
-        report = run_chaos(
-            requests=args.requests,
-            burst=args.burst,
-            queue_capacity=args.queue_capacity,
-            jobs=args.jobs,
-            seed=args.seed,
-            report_path=args.report,
-        )
-    except ChaosFailure as exc:
-        print(f"serve chaos FAILED: {exc}", file=sys.stderr)
-        return 1
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        inv = report.metrics["invariants"]
-        observed = report.provenance["observed"]
-        print(
-            "serve chaos OK: "
-            f"{sum(inv.values())}/{len(inv)} invariants held "
-            f"(shed {observed['shed_seen']}, "
-            f"degraded {observed['degraded']}, "
-            f"crash errors {observed['crash_errors']}, "
-            f"{report.metrics['chaos_wall_s']:.2f}s)"
-        )
-    if args.report:
-        print(f"report written to {args.report}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised by CI
-    sys.exit(main())

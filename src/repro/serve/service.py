@@ -70,7 +70,7 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.pipeline import SPAN_DURATION_BUCKETS, TraceContext, spooled_cell
 from ..obs.recorder import SpanRecord
 from ..obs.runreport import RunReport, collect_provenance
-from ..obs.timeseries import SLOTracker, TimeSeriesStore, burn_rate_gauges
+from ..obs.timeseries import SLOTracker, burn_rate_gauges
 from ..robust.pool import ExecutionPool, PoolConfig
 from . import chaos
 from .admission import BreakerBoard
@@ -168,11 +168,8 @@ class ScheduleService:
         self.spool_dir = spool_dir
         self.context = TraceContext.new()
         self.tracebuf = tracebuf or TraceBuffer()
-        self.timeseries = TimeSeriesStore()
         self.slo = SLOTracker(
-            objective=slo_objective,
-            latency_slo_s=latency_slo_s,
-            store=self.timeseries,
+            objective=slo_objective, latency_slo_s=latency_slo_s
         )
         self.requests = 0
         self.errors = 0
@@ -581,9 +578,8 @@ class ScheduleService:
         error: str | None = None,
         degraded_reason: str | None = None,
     ) -> tuple[str, dict, float]:
-        """Shared request epilogue: retain the trace, feed the SLO tracker
-        and the time-series store; returns ``(trace_id, server_block,
-        elapsed_s)``."""
+        """Shared request epilogue: retain the trace and feed the SLO
+        tracker; returns ``(trace_id, server_block, elapsed_s)``."""
         end_ns = time.perf_counter_ns()
         request = slot.get("request")
         trace_id = (
@@ -615,9 +611,6 @@ class ScheduleService:
             )
         )
         self.slo.record(status == "ok", elapsed)
-        self.timeseries.record("serve.request.duration_s", elapsed)
-        if cached:
-            self.timeseries.record("serve.cache.hit")
         return trace_id, server, elapsed
 
     def _ok(
@@ -641,7 +634,6 @@ class ScheduleService:
             self.degraded += 1
             self.registry.counter("serve.degraded").inc()
             self.registry.counter(f"serve.degraded.{reason}").inc()
-            self.timeseries.record("serve.degraded")
             obs.count("serve.degraded")
         self.registry.counter(f"serve.requests.{request.scheduler}").inc()
         self.registry.histogram(
@@ -686,7 +678,6 @@ class ScheduleService:
             if code == "deadline_exceeded":
                 self.deadline_exceeded += 1
                 self.registry.counter("serve.deadline_exceeded").inc()
-                self.timeseries.record("serve.deadline_exceeded")
         if decoded:
             request_id = doc_or_request.id
         else:

@@ -38,6 +38,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from ..obs.export import JSONL_FORMAT, JSONL_VERSION
+from ..obs.metrics import nearest_rank
 from ..obs.recorder import SpanRecord
 
 #: Meta-record tag marking a JSONL file as one request's span waterfall.
@@ -164,10 +165,7 @@ class _DurationWindow:
 
     def percentile(self, p: float) -> int | None:
         """Nearest-rank percentile over the window (None when empty)."""
-        if not self._sorted:
-            return None
-        rank = max(1, -(-int(p * len(self._sorted)) // 100))  # ceil
-        return self._sorted[min(rank, len(self._sorted)) - 1]
+        return nearest_rank(self._sorted, p)
 
     def __len__(self) -> int:
         return len(self._fifo)

@@ -3,7 +3,6 @@
 from ..obs.events import SimEvent, SimTrace
 from .branch import BranchModel, PredictionStudy, run_with_prediction
 from .cfg_runner import CFGEvaluation, PathResult, enumerate_paths, evaluate_cfg
-from .explain import Stall, StallReport, event_log, explain_stalls
 from .loop_runner import (
     in_order_offsets,
     iteration_completions,
@@ -24,12 +23,8 @@ __all__ = [
     "SimResult",
     "SimTrace",
     "SimulationDeadlock",
-    "Stall",
-    "StallReport",
     "enumerate_paths",
     "evaluate_cfg",
-    "event_log",
-    "explain_stalls",
     "in_order_offsets",
     "iteration_completions",
     "loop_stream",

@@ -387,6 +387,7 @@ def simulate_window(
                         c,
                         stream,
                         head,
+                        w_eff,
                         graph,
                         completion,
                         position,
@@ -417,10 +418,28 @@ def simulate_window(
     )
 
 
+def _barrier_holding(
+    pos: int,
+    cycle: int,
+    barriers: Mapping[int, int],
+    barrier_release: Mapping[int, int | None],
+) -> int | None:
+    """The first barrier that still holds stream position ``pos`` at
+    ``cycle`` (not yet released, or its penalty not yet served), or None."""
+    for b, penalty in barriers.items():
+        if pos < b:
+            continue
+        release = barrier_release[b]
+        if release is None or release + penalty > cycle:
+            return b
+    return None
+
+
 def _stall_event(
     cycle: int,
     stream: Sequence[str],
     head: int,
+    w_eff: int,
     graph: DependenceGraph,
     completion: Mapping[str, int],
     position: Mapping[str, int],
@@ -429,39 +448,65 @@ def _stall_event(
     ready_time,
     occupancy: int,
 ) -> SimEvent:
-    """Classify one no-issue cycle: barrier wait, dependence latency,
-    unissued predecessor, or resource conflict (best-effort attribution
-    against the head-of-window instruction; :mod:`repro.sim.explain` does
-    exact post-hoc attribution)."""
+    """Classify one no-issue cycle against the window head, first match
+    wins: barrier wait; resource (the head is ready but no compatible unit
+    is free); window (an unissued instruction beyond the window is ready —
+    the stall anticipatory scheduling recovers); otherwise the head's
+    unissued predecessor or dependence latency.
+
+    Readiness beyond the window is judged from current completions, the
+    graph's own latencies and the barrier state, never through
+    ``ready_time``: under a latency-jitter fault plan that would draw
+    jitter for edges the simulator has not reached yet and shift every
+    later draw, so tracing would change the schedule.  Without faults the
+    window label is exact; under jitter it is approximate."""
     node = stream[head]
-    pos = position[node]
-    for b, penalty in barriers.items():
-        if pos < b:
-            continue
+    b = _barrier_holding(position[node], cycle, barriers, barrier_release)
+    if b is not None:
         release = barrier_release[b]
-        if release is None or release + penalty > cycle:
-            detail = (
-                f"window flushed: {node} waits on barrier at stream "
-                f"position {b}"
-                + ("" if release is None else f" (releases {release}+{penalty})")
-            )
-            return SimEvent(
-                cycle=cycle,
-                kind="barrier_wait",
-                node=node,
-                head=head,
-                occupancy=occupancy,
-                detail=detail,
-                cause="barrier",
-            )
+        detail = (
+            f"window flushed: {node} waits on barrier at stream position {b}"
+            + ("" if release is None else f" (releases {release}+{barriers[b]})")
+        )
+        return SimEvent(
+            cycle=cycle,
+            kind="barrier_wait",
+            node=node,
+            head=head,
+            occupancy=occupancy,
+            detail=detail,
+            cause="barrier",
+        )
     missing = [p for p in graph.predecessors(node) if p not in completion]
-    if missing:
-        blocker = max(missing, key=lambda p: position[p])
-        detail = f"{node} waits on unissued predecessor {blocker}"
-        cause = "predecessor"
+    rt = None if missing else ready_time(node)
+    if rt is not None and rt <= cycle:
+        detail = f"{node} ready but no free {graph.fu_class(node)} unit"
+        cause = "resource"
     else:
-        rt = ready_time(node)
-        if rt is not None and rt > cycle:
+        outside = next(
+            (
+                i
+                for i in range(head + w_eff, len(stream))
+                if stream[i] not in completion
+                and all(
+                    p in completion and completion[p] + lat <= cycle
+                    for p, lat in graph.predecessors(stream[i]).items()
+                )
+                and _barrier_holding(i, cycle, barriers, barrier_release) is None
+            ),
+            None,
+        )
+        if outside is not None:
+            detail = (
+                f"{stream[outside]} ready at stream position {outside} but "
+                f"window [{head}, {head + w_eff}) is pinned by {node}"
+            )
+            cause = "window"
+        elif missing:
+            blocker = max(missing, key=lambda p: position[p])
+            detail = f"{node} waits on unissued predecessor {blocker}"
+            cause = "predecessor"
+        else:
             blocker, lat = max(
                 graph.predecessors(node).items(),
                 key=lambda kv: completion[kv[0]] + kv[1],
@@ -471,9 +516,6 @@ def _stall_event(
                 f"(completes {completion[blocker]}, latency {lat})"
             )
             cause = "dependence"
-        else:
-            detail = f"{node} ready but no free {graph.fu_class(node)} unit"
-            cause = "resource"
     return SimEvent(
         cycle=cycle,
         kind="stall",

@@ -8,8 +8,7 @@ from repro.obs.expo import (
     prometheus_text,
     sanitize_metric_name,
     top_snapshot,
-    watch_daemon,
-    watch_spools,
+    watch,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.pipeline import TraceContext, merge_spools, spooled_cell
@@ -141,8 +140,10 @@ class TestWatchSpools:
         out = io.StringIO()
         times = iter(float(i) for i in range(10))
         slept = []
-        frames = watch_spools(
-            tmp_path,
+        frames = watch(
+            lambda: merge_spools(tmp_path),
+            top_snapshot,
+            str(tmp_path),
             interval_s=0.5,
             iterations=3,
             out=out,
@@ -163,8 +164,9 @@ class TestWatchSpools:
         def boom(_):
             raise KeyboardInterrupt
 
-        frames = watch_spools(
-            tmp_path, interval_s=0.1, iterations=5, out=out, sleep=boom
+        frames = watch(
+            lambda: merge_spools(tmp_path), top_snapshot, str(tmp_path),
+            interval_s=0.1, iterations=5, out=out, sleep=boom,
         )
         assert frames == 1
 
@@ -230,9 +232,9 @@ class TestWatchDaemon:
             t[0] += 1.0
             return t[0]
 
-        frames = watch_daemon(
-            lambda: next(docs), interval_s=0.01, iterations=2,
-            out=out, clock=clock, sleep=lambda s: None, label="test",
+        frames = watch(
+            lambda: next(docs), daemon_snapshot, "test", interval_s=0.01,
+            iterations=2, out=out, clock=clock, sleep=lambda s: None,
         )
         assert frames == 2
         assert "repro top — test" in out.getvalue()

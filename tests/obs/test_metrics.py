@@ -133,7 +133,8 @@ class TestSimMetricsKnownChain:
     def test_attribution_all_dependence(self):
         att = stall_attribution(self.res.trace)
         assert att == {
-            "dependence": 2, "predecessor": 0, "resource": 0, "barrier": 0,
+            "dependence": 2, "predecessor": 0, "window": 0, "resource": 0,
+            "barrier": 0,
         }
 
     def test_stall_counters_match_attribution(self):
