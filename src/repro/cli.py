@@ -683,10 +683,41 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def cmd_serve_smoke(args: argparse.Namespace) -> int:
+    """Run the end-to-end daemon smoke (see docs/SERVING.md)."""
+    from .serve.harness import HarnessFailure, run_smoke
+
+    try:
+        report = run_smoke(
+            requests=args.requests,
+            clients=args.clients,
+            jobs=args.jobs,
+            seed=args.seed,
+            report_path=args.report,
+            waterfall_path=args.waterfall,
+        )
+    except HarnessFailure as exc:
+        print(f"serve smoke FAILED: {exc}", file=sys.stderr)
+        return 1
+    metrics = report.metrics
+    print(
+        "serve smoke OK: "
+        f"{metrics['requests']} requests, "
+        f"{metrics['cache']['hits']} hits / {metrics['cache']['misses']} misses, "
+        f"{metrics['bit_identical']} bit-identical responses "
+        f"(cold {report.phases['cold']:.3f}s, warm {report.phases['warm']:.3f}s)"
+    )
+    if args.report:
+        print(f"report written to {args.report}")
+    if args.waterfall:
+        print(f"request waterfall written to {args.waterfall}")
+    return 0
+
+
 def cmd_serve_chaos(args: argparse.Namespace) -> int:
     """Run the serve-tier chaos harness against a live daemon
     (see docs/RELIABILITY.md)."""
-    from .serve.chaos import ChaosFailure, run_chaos
+    from .serve.harness import HarnessFailure, run_chaos
 
     try:
         report = run_chaos(
@@ -697,7 +728,7 @@ def cmd_serve_chaos(args: argparse.Namespace) -> int:
             seed=args.seed,
             report_path=args.report,
         )
-    except ChaosFailure as exc:
+    except HarnessFailure as exc:
         print(f"serve chaos FAILED: {exc}", file=sys.stderr)
         return 1
     if args.json:
@@ -982,6 +1013,27 @@ def build_parser() -> argparse.ArgumentParser:
                    help="open-breaker cooldown before the half-open probe "
                         "(default 30)")
     p.set_defaults(func=cmd_serve)
+
+    p = sub.add_parser(
+        "serve-smoke",
+        help="end-to-end daemon smoke: boot a daemon, drive concurrent "
+             "clients cold then warm, assert exact cache hit/miss counts "
+             "and bit-identity with direct library calls (see "
+             "docs/SERVING.md)",
+    )
+    p.add_argument("--requests", type=int, default=12,
+                   help="distinct kernels in the corpus (default 12)")
+    p.add_argument("--clients", type=int, default=4,
+                   help="concurrent client connections (default 4)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="service worker processes (default 1: in-process)")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--report", default=None, metavar="PATH",
+                   help="write the RunReport JSON here")
+    p.add_argument("--waterfall", default=None, metavar="PATH",
+                   help="write the traced request's waterfall JSONL here "
+                        "(render with 'repro trace PATH')")
+    p.set_defaults(func=cmd_serve_smoke)
 
     p = sub.add_parser(
         "serve-chaos",

@@ -24,6 +24,9 @@ back to the parent:
   free: whatever a dead worker finished spooling before it died is merged
   like everything else.
 
+The spools' :func:`append_jsonl` / :func:`read_jsonl` also back the serve
+cache's store and the sweep's checkpoints.
+
 Merging counts *executions*, not logical cells: a cell that ran twice
 (because a pool crash lost its collected result and it was requeued) is
 spooled twice and counted twice, exactly as it would have been had both
@@ -158,18 +161,43 @@ def cell_record(recorder: TraceRecorder, cell: int, ok: bool = True) -> dict:
     }
 
 
-def append_cell(directory: str | os.PathLike, record: dict) -> Path:
-    """Append one cell record to this process's spool file and flush so the
-    line survives ``os._exit`` — the whole crash-safety story is "a cell is
-    either fully on disk or absent"."""
-    path = spool_path(directory)
+def append_jsonl(path: str | os.PathLike, record: dict) -> None:
+    """Append ``record`` to ``path`` as one sorted-keys JSON line, creating
+    the directory first, and flush so the line survives ``os._exit`` of
+    the writer: a record is either fully on disk or a torn last line."""
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    line = json.dumps(record, sort_keys=True)
     # flush() pushes the line into the OS page cache, which survives
-    # os._exit / SIGKILL of the worker (only a machine crash could lose it).
+    # os._exit / SIGKILL of the writer (only a machine crash could lose it).
     with path.open("a", encoding="utf-8") as fh:
-        fh.write(line + "\n")
+        fh.write(json.dumps(record, sort_keys=True) + "\n")
         fh.flush()
+
+
+def read_jsonl(path: str | os.PathLike) -> Iterator[dict | None]:
+    """One item per non-blank line of an append-only JSONL file: the parsed
+    record, or ``None`` for a torn or non-object line (a writer died
+    mid-append), so callers can skip or count it.  A missing file yields
+    nothing."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError:
+        return
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError:
+            rec = None
+        yield rec if isinstance(rec, dict) else None
+
+
+def append_cell(directory: str | os.PathLike, record: dict) -> Path:
+    """Append one cell record to this process's spool file — the whole
+    crash-safety story is "a cell is either fully on disk or absent"."""
+    path = spool_path(directory)
+    append_jsonl(path, record)
     return path
 
 
@@ -267,19 +295,8 @@ def iter_spool_records(path: str | os.PathLike) -> Iterator[dict]:
     """Parsed cell records of one spool file.  Torn trailing lines (a
     worker died mid-append) and non-cell records are skipped, so a spool is
     readable at any moment — during the sweep, and after a crash."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError:
-        return
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError:  # torn line: the writer died mid-cell
-            continue
-        if rec.get("type") == "cell" and rec.get("v") == SPOOL_VERSION:
+    for rec in read_jsonl(path):
+        if rec and rec.get("type") == "cell" and rec.get("v") == SPOOL_VERSION:
             yield rec
 
 

@@ -5,8 +5,10 @@ Four layers:
 
 - :mod:`repro.robust.faults` — seeded :class:`FaultPlan` perturbations of
   the simulated runtime (latency jitter, window wobble, forced mispredicts,
-  stream corruption, spurious deadlocks), installed with :func:`injection`
-  and consulted by :mod:`repro.sim.window` behind a no-op default;
+  stream corruption, spurious deadlocks) and of the serving workers
+  (crashes, hangs, slow schedulers), installed with :func:`injection` and
+  consulted by :mod:`repro.sim.window` and the daemon's dispatch behind a
+  no-op default;
 - :mod:`repro.robust.guard` — :class:`GuardedScheduler`, wrapping Algorithm
   Lookahead with node/time budgets and post-hoc verification; any failure
   degrades to the always-legal per-block rank order, recorded as a

@@ -1,4 +1,5 @@
-"""Seeded fault injection for the simulator and machine model.
+"""Seeded fault injection for the simulator, machine model and serving
+workers.
 
 The paper's safety argument (§1, §4) is a graceful-degradation contract:
 anticipatory scheduling never moves an instruction across a basic-block
@@ -27,7 +28,12 @@ a no-op, and with no plan installed the simulator's fast path is untouched):
 - **spurious deadlock** (``deadlock_after``): after N issues the simulator
   raises an injected :class:`~repro.sim.window.SimulationDeadlock`
   (``exc.injected`` is True), modelling a hardware watchdog / host fault
-  that kills a simulation mid-flight.
+  that kills a simulation mid-flight;
+- **serving faults** (``crash_rate`` / ``hang_rate`` / ``slow_rate``): a
+  daemon worker exits, hangs or schedules too slowly.  The service sends
+  the installed plan with each request and the worker obeys
+  :meth:`FaultPlan.worker_action`, which ``repro serve-chaos`` calls too
+  to predict each request's fault.  These faults change no simulation.
 
 All randomness is derived from ``FaultPlan.seed`` via :meth:`FaultPlan.rng`
 (CRC-salted, independent of ``PYTHONHASHSEED``), so every injected fault is
@@ -44,6 +50,10 @@ from typing import Iterator, Sequence
 
 from ..machine.model import MachineModel
 from ..obs import recorder as obs
+
+
+#: Fields that enable no fault by themselves.
+_SHAPING_FIELDS = ("name", "seed", "mispredict_penalty", "hang_s", "slow_s")
 
 
 @dataclass(frozen=True)
@@ -73,30 +83,42 @@ class FaultPlan:
     duplicate_stream: bool = False
     #: Raise an injected SimulationDeadlock after this many issues.
     deadlock_after: int | None = None
+    #: Serving faults, per request (see :meth:`worker_action`): the worker
+    #: calls ``os._exit``; sleeps ``hang_s``, past the pool's stall timeout;
+    #: or its primary scheduler sleeps ``slow_s``, past the guard's budget
+    #: but under the pool timeout, so the request degrades.  Crashes and
+    #: hangs need ``jobs >= 2``: in-process they would stop the daemon.
+    crash_rate: float = 0.0
+    hang_rate: float = 0.0
+    hang_s: float = 30.0
+    slow_rate: float = 0.0
+    slow_s: float = 0.4
 
     def __post_init__(self) -> None:
         if self.latency_jitter < 0:
             raise ValueError("latency_jitter must be >= 0")
         if self.window_shrink < 0 or self.window_grow < 0:
             raise ValueError("window_shrink/window_grow must be >= 0")
-        if not 0.0 <= self.mispredict_rate <= 1.0:
-            raise ValueError("mispredict_rate must be in [0, 1]")
+        for name in ("mispredict_rate", "crash_rate", "hang_rate", "slow_rate"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {value}")
         if self.mispredict_penalty < 0:
             raise ValueError("mispredict_penalty must be >= 0")
         if self.deadlock_after is not None and self.deadlock_after < 0:
             raise ValueError("deadlock_after must be >= 0 or None")
+        if self.hang_s <= 0 or self.slow_s <= 0:
+            raise ValueError("hang_s and slow_s must be > 0")
 
     @property
     def is_noop(self) -> bool:
-        """True iff this plan perturbs nothing."""
-        return (
-            self.latency_jitter == 0
-            and self.window_shrink == 0
-            and self.window_grow == 0
-            and self.mispredict_rate == 0.0
-            and not self.truncate_stream
-            and not self.duplicate_stream
-            and self.deadlock_after is None
+        """True iff this plan perturbs nothing: every fault field is at its
+        default (``name``, ``seed`` and the penalty and sleep lengths only
+        shape faults other fields enable)."""
+        return all(
+            getattr(self, f.name) == f.default
+            for f in fields(self)
+            if f.name not in _SHAPING_FIELDS
         )
 
     @property
@@ -130,6 +152,32 @@ class FaultPlan:
     def reseeded(self, seed: int) -> "FaultPlan":
         """The same fault mix under a different seed."""
         return replace(self, seed=seed)
+
+    def worker_action(self, request_id: object) -> str | None:
+        """The serving fault this plan assigns to ``request_id``: ``"exit"``,
+        ``"hang"``, ``"slow"`` or ``None``.  A pure function of (plan, id):
+        the harness predicts with the same call the worker obeys."""
+        if not isinstance(request_id, str):
+            return None
+        draw = self.rng(
+            "worker.action", zlib.crc32(request_id.encode("utf-8"))
+        ).random()
+        if draw < self.crash_rate:
+            return "exit"
+        draw -= self.crash_rate
+        if draw < self.hang_rate:
+            return "hang"
+        draw -= self.hang_rate
+        if draw < self.slow_rate:
+            return "slow"
+        return None
+
+    def for_jobs(self, jobs: int) -> "FaultPlan":
+        """The plan adjusted for the pool size: with in-process compute
+        (``jobs < 2``) the process-killing serving faults are disabled."""
+        if jobs >= 2:
+            return self
+        return replace(self, crash_rate=0.0, hang_rate=0.0)
 
     def describe(self) -> str:
         """Compact ``name(field=value, ...)`` of the enabled faults."""
@@ -305,3 +353,15 @@ def default_fault_plans(seed: int = 0) -> list[FaultPlan]:
             mispredict_rate=0.3,
         ),
     ]
+
+
+def serving_storm(seed: int = 0) -> FaultPlan:
+    """The serving-fault mix the ``serve-chaos`` CI gate runs: worker
+    crashes, hangs and slow schedulers together."""
+    return FaultPlan(
+        name="serving_storm",
+        seed=seed,
+        crash_rate=0.10,
+        hang_rate=0.05,
+        slow_rate=0.12,
+    )

@@ -18,12 +18,11 @@ Results always come back in input order.  Cells must be independent; with
 from __future__ import annotations
 
 import base64
-import json
 import os
 import pickle
-from pathlib import Path
 from typing import Callable, Sequence
 
+from ..obs.pipeline import append_jsonl, read_jsonl
 from .pool import ExecutionPool, PoolConfig, SweepResult
 from .pool import SweepError, SweepFailure  # noqa: F401  (re-export)
 
@@ -33,22 +32,21 @@ from .pool import SweepError, SweepFailure  # noqa: F401  (re-export)
 _CHECKPOINT_VERSION = 1
 
 
-def _encode_cell(index: int, value) -> str:
-    """One checkpoint line: pickle for fidelity, repr preview for humans."""
+def _encode_cell(index: int, value) -> dict:
+    """One checkpoint record: pickle for fidelity, repr preview for
+    humans."""
     payload = base64.b64encode(
         pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
     ).decode("ascii")
     preview = repr(value)
     if len(preview) > 120:
         preview = preview[:117] + "..."
-    return json.dumps(
-        {
-            "v": _CHECKPOINT_VERSION,
-            "index": index,
-            "pickle": payload,
-            "preview": preview,
-        }
-    )
+    return {
+        "v": _CHECKPOINT_VERSION,
+        "index": index,
+        "pickle": payload,
+        "preview": preview,
+    }
 
 
 def load_checkpoint(path: str | os.PathLike) -> dict[int, object]:
@@ -58,23 +56,13 @@ def load_checkpoint(path: str | os.PathLike) -> dict[int, object]:
     skipped — resume recomputes those cells.
     """
     out: dict[int, object] = {}
-    p = Path(path)
-    if not p.exists():
-        return out
-    with p.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                if rec.get("v") != _CHECKPOINT_VERSION:
-                    continue
-                out[int(rec["index"])] = pickle.loads(
-                    base64.b64decode(rec["pickle"])
-                )
-            except Exception:  # noqa: BLE001 - torn/corrupt line: recompute
-                continue
+    for rec in read_jsonl(path):
+        if rec is None or rec.get("v") != _CHECKPOINT_VERSION:
+            continue
+        try:
+            out[int(rec["index"])] = pickle.loads(base64.b64decode(rec["pickle"]))
+        except Exception:  # noqa: BLE001 - corrupt record: recompute
+            continue
     return out
 
 
@@ -108,22 +96,13 @@ def run_sweep_robust(
     config = PoolConfig(jobs=max(jobs, 1), timeout_s=timeout_s, retries=retries)
     done = load_checkpoint(checkpoint) if checkpoint is not None else {}
     pending = [i for i in range(len(params)) if i not in done]
-    ckpt_fh = None
-    if checkpoint is not None:
-        Path(checkpoint).parent.mkdir(parents=True, exist_ok=True)
-        ckpt_fh = open(checkpoint, "a", encoding="utf-8")
 
     def record(i: int, value) -> None:
-        if ckpt_fh is not None:
-            ckpt_fh.write(_encode_cell(i, value) + "\n")
-            ckpt_fh.flush()
+        if checkpoint is not None:
+            append_jsonl(checkpoint, _encode_cell(i, value))
 
-    try:
-        with ExecutionPool(fn, config, telemetry_dir) as pool:
-            result = pool._run([params[i] for i in pending], pending, on_result=record)
-    finally:
-        if ckpt_fh is not None:
-            ckpt_fh.close()
+    with ExecutionPool(fn, config, telemetry_dir) as pool:
+        result = pool._run([params[i] for i in pending], pending, on_result=record)
     fresh = dict(zip(pending, result.results))
     result.results = [fresh[i] if i in fresh else done[i] for i in range(len(params))]
     result.resumed = len(params) - len(pending)

@@ -19,8 +19,9 @@ The pipeline turns one-shot library calls into a service:
 - :mod:`repro.serve.daemon` — :class:`ScheduleServer`, the asyncio
   front-end (unix-socket JSONL and minimal HTTP) with request batching;
 - :mod:`repro.serve.client` — blocking clients for both transports;
-- :mod:`repro.serve.smoke` — the end-to-end smoke harness CI runs
-  (``python -m repro.serve.smoke``).
+- :mod:`repro.serve.harness` — the end-to-end daemon harness CI runs:
+  ``repro serve-smoke``, and ``repro serve-chaos``, the smoke's cold phase
+  under a :class:`~repro.robust.faults.FaultPlan`.
 """
 
 from __future__ import annotations

@@ -39,6 +39,7 @@ from pathlib import Path
 
 from ..obs import recorder as obs
 from ..obs.metrics import MetricsRegistry
+from ..obs.pipeline import append_jsonl, read_jsonl
 
 
 class ScheduleCache:
@@ -89,20 +90,11 @@ class ScheduleCache:
         resident set in dead lines is compacted on the spot."""
         replay: "OrderedDict[str, dict]" = OrderedDict()
         lines = 0
-        try:
-            text = self.path.read_text()
-        except OSError:
-            return
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
+        for rec in read_jsonl(self.path):
             lines += 1
-            try:
-                rec = json.loads(line)
-                digest, entry = rec["digest"], rec["entry"]
-            except (ValueError, TypeError, KeyError):
-                continue  # torn/corrupt line: ignore, keep replaying
+            if rec is None:
+                continue  # torn/corrupt line: a dead line, keep replaying
+            digest, entry = rec.get("digest"), rec.get("entry")
             if not isinstance(digest, str) or not isinstance(entry, dict):
                 continue
             replay.pop(digest, None)
@@ -116,11 +108,7 @@ class ScheduleCache:
     def _append(self, digest: str, entry: dict) -> None:
         if self.path is None:
             return
-        line = json.dumps({"digest": digest, "entry": entry}, sort_keys=True)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a") as fh:
-            fh.write(line + "\n")
-            fh.flush()
+        append_jsonl(self.path, {"digest": digest, "entry": entry})
         self.store_lines += 1
         if self._compaction_due():
             self.compact()

@@ -71,8 +71,8 @@ from ..obs.pipeline import SPAN_DURATION_BUCKETS, TraceContext, spooled_cell
 from ..obs.recorder import SpanRecord
 from ..obs.runreport import RunReport, collect_provenance
 from ..obs.timeseries import SLOTracker, burn_rate_gauges
+from ..robust import faults
 from ..robust.pool import ExecutionPool, PoolConfig
-from . import chaos
 from .admission import BreakerBoard
 from .cache import ScheduleCache
 from .canonical import CanonicalForm, canonical_form
@@ -390,7 +390,7 @@ class ScheduleService:
             if pending:
                 order = list(pending.values())
                 t_dispatch = time.perf_counter_ns()
-                plan = chaos.active_plan()
+                plan = faults.active_plan()
                 items = []
                 budgets_s = []
                 for group in order:

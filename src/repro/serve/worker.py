@@ -19,11 +19,11 @@ the smaller of the service's worker budget (bound into the pool's
 callable with :func:`functools.partial`) and the request's remaining
 ``deadline_ms``.
 
-Chaos hooks: the service sends the installed :mod:`repro.serve.chaos`
-plan with each request; the plan decides per request id whether this
-compute exits hard, hangs past the pool's stall timeout, or schedules
-slowly enough to degrade — the serve-tier fault injection the chaos
-harness drives.
+Fault hooks: the service sends the installed
+:class:`~repro.robust.faults.FaultPlan` with each request; its serving
+faults decide per request id whether this compute exits hard, hangs past
+the pool's stall timeout, or schedules slowly enough to degrade — the
+serve-tier fault injection ``repro serve-chaos`` drives.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from ..ir.basicblock import Trace
 from ..machine.model import MachineModel
 from ..obs import recorder as obs
 from ..obs.pipeline import TraceContext
+from ..robust.faults import FaultPlan
 from ..robust.guard import GuardedScheduler
 from ..schedulers import (
     block_orders_with_priority,
@@ -46,7 +47,6 @@ from ..schedulers import (
     source_order_priority,
 )
 from ..sim import simulate_trace
-from .chaos import ChaosPlan
 from .protocol import ScheduleRequest
 
 
@@ -123,7 +123,7 @@ def compute_schedule(
     the guard fell back) a ``"degraded"`` diagnostic dict.
 
     ``primary_delay_s`` injects a sleep *inside* the guarded primary —
-    the chaos harness's slow-scheduler fault; the guard's budget is the
+    the plan's slow-scheduler fault; the guard's budget is the
     mechanism that turns it into a degradation instead of a hang.
     ``time_budget_s`` and ``node_budget`` are the guard's budgets.
     """
@@ -177,13 +177,13 @@ def compute_schedule(
 
 def compute_request(
     doc: Mapping,
-    plan: ChaosPlan | None = None,
+    plan: FaultPlan | None = None,
     time_budget_s: float | None = None,
     node_budget: int | None = None,
 ) -> dict:
     """Pool entry point: wire dict in, result dict out.
 
-    ``plan`` is the chaos plan sent with the request, if any: it may order
+    ``plan`` is the fault plan sent with the request, if any: it may order
     this compute to die or hang before any work happens — the crash-blame
     and stall-timeout paths the pool exists for — or to run its primary
     slowly enough that the guard degrades it.  ``time_budget_s`` and

@@ -13,6 +13,7 @@ from repro.robust.faults import (
     fault_state,
     injection,
     perturbed_machine,
+    serving_storm,
     set_plan,
     suspended,
 )
@@ -233,6 +234,21 @@ class TestSimulatorHooks:
         with injection(plan):
             faulted = simulate_trace(trace, orders, machine)
         assert faulted.makespan > clean.makespan
+
+    def test_serving_faults_change_no_simulation(self):
+        from repro.core import algorithm_lookahead
+        from repro.machine.presets import PAPER_CORE
+        from repro.workloads.traces import random_trace
+
+        for machine in (PAPER_CORE, paper_machine(2), paper_machine(4)):
+            for seed in range(40):
+                trace = random_trace(3, (3, 6), cross_probability=0.2, seed=seed)
+                orders = algorithm_lookahead(trace, machine).block_orders
+                clean = simulate_trace(trace, orders, machine)
+                with injection(serving_storm(seed)):
+                    served = simulate_trace(trace, orders, machine)
+                assert served.schedule.digest() == clean.schedule.digest()
+                assert served.stall_cycles == clean.stall_cycles
 
     def test_suspended_restores_clean_behaviour(self):
         machine = paper_machine(2)

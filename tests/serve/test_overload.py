@@ -320,12 +320,12 @@ class TestDegradedRing:
             with ScheduleClient(srv.socket_path) as client:
                 # A primary that overruns the 50 ms budget degrades to
                 # the verified fallback.
-                from repro.serve import chaos
+                from repro.robust.faults import FaultPlan, injection
 
-                plan = chaos.ChaosPlan(
+                plan = FaultPlan(
                     name="slowpoke", seed=0, slow_rate=1.0, slow_s=0.2
                 )
-                with chaos.injection(plan):
+                with injection(plan):
                     response = client.call(_doc(seed=15, rid="slow-req"))
                 assert response["ok"] is True
                 assert response["degraded"]["reason"] == "timeout"

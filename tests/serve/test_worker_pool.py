@@ -1,5 +1,5 @@
 """The service's side of the worker-pool contract: state that workers
-cannot inherit — chaos plans, guard budgets, sockets — travels explicitly
+cannot inherit — fault plans, guard budgets, sockets — travels explicitly
 or is shed, so long-lived workers behave like fresh ones."""
 
 import json
@@ -9,7 +9,7 @@ import socket
 import pytest
 
 from repro.machine.presets import PAPER_CORE
-from repro.serve import chaos
+from repro.robust.faults import FaultPlan, injection
 from repro.serve.client import ScheduleClient
 from repro.serve.daemon import ScheduleServer, ServerHandle
 from repro.serve.protocol import ScheduleRequest
@@ -28,7 +28,7 @@ class TestChaosPlanTravels:
         try:
             assert service.handle(_doc(seed=1))["ok"]  # workers now exist
             doc = _doc(seed=2, rid="doomed")
-            with chaos.injection(chaos.ChaosPlan(name="crash", crash_rate=1.0)):
+            with injection(FaultPlan(name="crash", crash_rate=1.0)):
                 crashed = service.handle(doc)
             assert crashed["ok"] is False
             assert crashed["code"] == "scheduling_failed"
@@ -45,8 +45,8 @@ class TestGuardBudgets:
     def test_budgets_belong_to_their_service(self):
         patient = ScheduleService(guard_budget_s=5.0)
         hasty = ScheduleService(guard_budget_s=0.01)
-        plan = chaos.ChaosPlan(name="slow", slow_rate=1.0, slow_s=0.1)
-        with chaos.injection(plan):
+        plan = FaultPlan(name="slow", slow_rate=1.0, slow_s=0.1)
+        with injection(plan):
             a = patient.handle(_doc(seed=3, rid="to-patient"))
             b = hasty.handle(_doc(seed=3, rid="to-hasty"))
         assert a["ok"] is True and a.get("degraded") is None

@@ -497,3 +497,17 @@ class TestServe:
         assert err.startswith("error: ") and name in err
         assert "Traceback" not in err
         assert not sock.exists()  # never started listening
+
+
+class TestServeSmoke:
+    def test_small_smoke_exact_counts(self, tmp_path, capsys):
+        report = tmp_path / "smoke.json"
+        argv = ["serve-smoke", "--requests", "3", "--clients", "2"]
+        assert main([*argv, "--report", str(report)]) == 0
+        assert "serve smoke OK: 11 requests" in capsys.readouterr().out
+        metrics = json.loads(report.read_text())["metrics"]
+        assert metrics["requests"] == 11
+        assert metrics["cache"]["hits"] == 7
+        assert metrics["cache"]["misses"] == 4
+        assert metrics["bit_identical"] == 9
+        assert metrics["unique_digests"] == 3
