@@ -86,8 +86,8 @@ def move_idle_slot(
 
     # Step 1: clamp σᵢ deadlines so the idle slot cannot move earlier.
     clamped = dict(deadlines)
-    for n in graph.nodes:
-        if schedule.unit(n) == unit and prev_t < schedule.start(n) < t_i:
+    for n, t in schedule.starts.items():
+        if prev_t < t < t_i and schedule.units[n] == unit:
             clamped[n] = min(clamped[n], t_i)
     # (Nodes starting at prev_t + 0 == 0 when index == 0 are covered by
     # prev_t = -1; an idle slot itself never holds a node.)
@@ -157,21 +157,23 @@ def delay_idle_slots(
     d = fill_deadlines(schedule.graph, deadlines)
     if unit not in schedule.busy_units():
         return schedule, d  # nothing runs on this unit: nothing to delay
-    if not schedule.idle_times(unit):
+    times = schedule.idle_times(unit)
+    if not times:
         return schedule, d
     if engine is None and incremental:
         engine = RankEngine(schedule.graph, d, machine)
     with obs.span(
         "delay_idle_slots",
         unit=f"{unit[0]}{unit[1]}",
-        slots=len(schedule.idle_times(unit)),
+        slots=len(times),
     ):
         index = 0
-        while index < len(schedule.idle_times(unit)):
+        while index < len(times):
             result = move_idle_slot(schedule, d, index, machine, unit, engine)
             schedule, d = result.schedule, result.deadlines
             if result.moved:
                 obs.count("idle.slots_moved")
+                times = schedule.idle_times(unit)  # a failed move keeps them
             if result.new_time is None and result.moved:
                 continue  # slot eliminated: the next slot shifted into ``index``
             if not result.moved:

@@ -62,6 +62,11 @@ class Schedule:
             units = {n: SINGLE_UNIT for n in starts}
         self.units: dict[str, Unit] = dict(units)
         self._exec = {n: graph.exec_time(n) for n in graph.nodes}
+        # Schedules are never mutated after construction, so the makespan
+        # is fixed here.
+        self._makespan = max(
+            (t + self._exec[n] for n, t in self.starts.items()), default=0
+        )
 
     # Basic accessors ------------------------------------------------------------
 
@@ -86,9 +91,7 @@ class Schedule:
     @property
     def makespan(self) -> int:
         """Completion time of the last instruction (first starts at >= 0)."""
-        if not self.starts:
-            return 0
-        return max(self.completion(n) for n in self.starts)
+        return self._makespan
 
     # Ordering views ----------------------------------------------------------------
 
@@ -115,36 +118,31 @@ class Schedule:
         slots are reported; otherwise all units that run at least one node
         are scanned (sorted by time then unit).
         """
-        span = self.makespan
         units = [unit] if unit is not None else sorted(self.busy_units())
-        busy: dict[Unit, set[int]] = {u: set() for u in units}
-        for n, t in self.starts.items():
-            u = self.units[n]
-            if u in busy:
-                busy[u].update(range(t, t + self._exec[n]))
-        out = [
-            IdleSlot(t, u)
-            for u in units
-            for t in range(span)
-            if t not in busy[u]
-        ]
+        out = [IdleSlot(t, u) for u in units for t in self.idle_times(u)]
         out.sort(key=lambda s: (s.time, s.unit))
         return out
 
     def idle_times(self, unit: Unit = SINGLE_UNIT) -> list[int]:
         """Start times t₁ < t₂ < … of the idle slots on ``unit``."""
-        return [s.time for s in self.idle_slots(unit)]
+        return self._free_times(unit)
 
     def global_idle_times(self) -> list[int]:
         """Times before the makespan at which *every* used unit is idle — a
         whole-machine stall.  Equal to :meth:`idle_times` on a single-unit
         schedule; the conservative generalization chop needs on multi-unit
         machines (no instruction can start at or span a global idle time)."""
-        span = self.makespan
-        busy: set[int] = set()
+        return self._free_times(None)
+
+    def _free_times(self, unit: Unit | None) -> list[int]:
+        """Times before the makespan at which no node runs on ``unit`` (on
+        any unit when None): one pass over the nodes into a busy map."""
+        busy = bytearray(self._makespan)
         for n, t in self.starts.items():
-            busy.update(range(t, t + self._exec[n]))
-        return [t for t in range(span) if t not in busy]
+            if unit is None or self.units[n] == unit:
+                e = self._exec[n]
+                busy[t:t + e] = b"\x01" * e
+        return [t for t, b in enumerate(busy) if not b]
 
     def tail_node(self, idle_time: int, unit: Unit = SINGLE_UNIT) -> str | None:
         """The node scheduled at time ``idle_time − 1`` on ``unit`` — the

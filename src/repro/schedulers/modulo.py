@@ -50,10 +50,7 @@ def resource_mii(loop: LoopGraph, machine: MachineModel) -> int:
         work[pool] = work.get(pool, 0) + loop.exec_time(n)
     best = 1
     for pool, cycles in work.items():
-        cap = (
-            machine.total_units if pool == ANY else len(machine.units_for(pool))
-        )
-        best = max(best, math.ceil(cycles / max(cap, 1)))
+        best = max(best, math.ceil(cycles / max(machine.capacity(pool), 1)))
     return best
 
 
@@ -106,9 +103,6 @@ def _try_ii(
         cls = loop.fu_class(node)
         return ANY if (cls == ANY or machine.is_single_unit) else cls
 
-    def capacity(pool: str) -> int:
-        return machine.total_units if pool == ANY else len(machine.units_for(pool))
-
     def reserve(node: str, start: int) -> list[str]:
         """Place node at start, ejecting conflicting nodes; returns ejected."""
         pool = pool_of(node)
@@ -117,7 +111,7 @@ def _try_ii(
         for step in range(loop.exec_time(node)):
             slot = (start + step) % ii
             occupants = slots.setdefault(slot, [])
-            while len(occupants) >= capacity(pool):
+            while len(occupants) >= machine.capacity(pool):
                 victim = occupants.pop(0)
                 if victim not in ejected:
                     ejected.append(victim)
@@ -167,7 +161,7 @@ def _try_ii(
             pool = pool_of(node)
             slots = table.setdefault(pool, {})
             ok = all(
-                len(slots.get((start + s) % ii, [])) < capacity(pool)
+                len(slots.get((start + s) % ii, [])) < machine.capacity(pool)
                 for s in range(loop.exec_time(node))
             )
             if ok:

@@ -154,11 +154,7 @@ def _modulo_resources_ok(
             slot = (offsets[n] + step) % ii
             table[slot] = table.get(slot, 0) + 1
     for pool, table in usage.items():
-        cap = (
-            machine.total_units
-            if pool == ANY
-            else len(machine.units_for(pool))
-        )
+        cap = machine.capacity(pool)
         if any(count > cap for count in table.values()):
             return False
     return True

@@ -1,5 +1,8 @@
 """Unit tests for machine models."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.ir import ANY, BRANCH, FIXED, FLOAT, MEMORY, graph_from_edges
@@ -57,6 +60,64 @@ class TestUnits:
         g_bad = graph_from_edges([], nodes=["a"], fu_classes={"a": FLOAT})
         assert m.can_execute(g_ok)
         assert not m.can_execute(g_bad)
+
+
+class TestUnitTables:
+    """The unit tables are derived once per machine, so nothing a caller
+    holds may change them afterwards."""
+
+    def test_passed_counts_are_copied(self):
+        counts = {ANY: 1}
+        m = MachineModel(fu_counts=counts)
+        counts[ANY] = 2
+        assert m.fu_counts == {ANY: 1}
+        assert m.total_units == 1
+        assert m.unit_names() == [(ANY, 0)]
+        assert m.units_for(FIXED) == [(ANY, 0)]
+
+    def test_returned_lists_are_fresh(self):
+        m = MachineModel(window_size=2, fu_counts={FIXED: 2, ANY: 1})
+        m.unit_names().append((FLOAT, 0))
+        m.units_for(FIXED).clear()
+        m.units_for(ANY).pop()
+        assert m.unit_names() == [(ANY, 0), (FIXED, 0), (FIXED, 1)]
+        assert m.units_for(FIXED) == [(ANY, 0), (FIXED, 0), (FIXED, 1)]
+        assert m.units_for(ANY) == m.unit_names()
+
+    def test_unlisted_class_runs_on_universal_units(self):
+        m = MachineModel(window_size=2, fu_counts={FIXED: 2, ANY: 1})
+        assert m.units_for(FLOAT) == [(ANY, 0)]
+        assert MachineModel(fu_counts={FIXED: 1}).units_for(FLOAT) == []
+
+    def test_capacity(self):
+        m = MachineModel(window_size=2, fu_counts={FIXED: 2, MEMORY: 1, ANY: 1})
+        assert m.capacity(ANY) == 4
+        assert m.capacity(FIXED) == 3
+        assert m.capacity(MEMORY) == 2
+        assert m.capacity(FLOAT) == 1
+        assert MachineModel(fu_counts={FIXED: 1}).capacity(FLOAT) == 1
+        assert MachineModel(fu_counts={FIXED: 2}).capacity(FLOAT) == 0
+
+    @pytest.mark.parametrize(
+        "copy",
+        [
+            lambda m: pickle.loads(pickle.dumps(m)),
+            lambda m: dataclasses.replace(m),
+            lambda m: dataclasses.replace(m, window_size=3),
+            lambda m: m.with_window(5),
+        ],
+        ids=["pickle", "replace", "replace-window", "with_window"],
+    )
+    def test_tables_survive_copies(self, copy):
+        m = MachineModel(window_size=2, fu_counts={FIXED: 2, ANY: 1}, issue_width=2)
+        c = copy(m)
+        assert c.fu_counts == m.fu_counts
+        assert c.unit_names() == m.unit_names()
+        assert c.units_for(FIXED) == m.units_for(FIXED)
+        assert c.units_for(FLOAT) == m.units_for(FLOAT)
+        assert c.capacity(FIXED) == m.capacity(FIXED)
+        assert c.total_units == 3
+        assert c.issue_width == 2
 
 
 class TestPresets:
