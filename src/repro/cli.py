@@ -135,7 +135,7 @@ def cmd_ranks(args: argparse.Namespace) -> int:
             return 2
     try:
         ranks = compute_ranks(trace.graph, deadlines, _machine(args))
-    except ValueError as exc:  # unknown instruction names, from fill_deadlines
+    except ValueError as exc:  # unknown instruction names, or no unit for a class
         print(f"error: {exc}", file=sys.stderr)
         return 2
     rows = [
