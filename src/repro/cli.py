@@ -644,8 +644,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             socket_path=args.socket,
             host=args.host,
             port=args.port,
-            batch_max=args.batch_max,
-            batch_window_s=args.batch_window_ms / 1000.0,
             access_log=args.access_log,
             admission=AdmissionConfig(
                 queue_capacity=args.queue_capacity,
@@ -978,17 +976,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="append-only JSONL schedule store; reloaded on "
                         "restart so the cache survives the daemon")
     p.add_argument("--spool-dir", metavar="DIR", default=None,
-                   help="spool per-batch telemetry to DIR (inspect live "
+                   help="spool per-request telemetry to DIR (inspect live "
                         "with 'repro top DIR' / 'repro metrics DIR')")
-    p.add_argument("--batch-max", type=int, default=16, metavar="N",
-                   help="max requests coalesced into one batch (default 16)")
-    p.add_argument("--batch-window-ms", type=float, default=2.0,
-                   metavar="MS",
-                   help="coalescing window after the first request of a "
-                        "batch (default 2 ms)")
     p.add_argument("--timeout-s", type=float, default=None, metavar="SEC",
-                   help="declare a batch's running requests hung after no "
-                        "completion for SEC seconds (jobs > 1)")
+                   help="declare a request hung once it has run on a "
+                        "worker for SEC seconds (jobs > 1)")
     p.add_argument("--retries", type=int, default=1,
                    help="extra attempts per request on worker crash or "
                         "timeout (default 1)")

@@ -157,10 +157,26 @@ class _BackwardSlots:
 
 def _unit_exec_single_fu(graph: DependenceGraph, machine: MachineModel) -> bool:
     """True when the backward schedule can use the inlined capacity-1
-    unit-execution-time fast path (the paper's core regime)."""
-    return machine.is_single_unit and all(
-        graph.exec_time(n) == 1 for n in graph.nodes
-    )
+    unit-execution-time fast path (the paper's core regime).
+
+    A single-unit machine's one unit is every class's pool
+    (:meth:`MachineModel.capacity`), so the backward schedule alone would
+    also rank a node that unit cannot run; such a machine raises
+    :func:`list_schedule`'s ``ValueError`` here instead."""
+    if not machine.is_single_unit:
+        return False
+    unit_exec = True
+    runnable = {}
+    for n in graph.nodes:
+        cls = graph.fu_class(n)
+        ok = runnable.get(cls)
+        if ok is None:
+            ok = runnable[cls] = bool(machine.units_for(cls))
+        if not ok:
+            raise ValueError("machine lacks a functional unit for some instruction")
+        if graph.exec_time(n) != 1:
+            unit_exec = False
+    return unit_exec
 
 
 def _node_rank(

@@ -184,13 +184,16 @@ def read_jsonl(path: str | os.PathLike) -> Iterator[dict | None]:
     except OSError:
         return
     for line in text.splitlines():
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError:
-            rec = None
-        yield rec if isinstance(rec, dict) else None
+        if line.strip():
+            yield _json_object(line)
+
+
+def _json_object(line: str | bytes) -> dict | None:
+    try:
+        rec = json.loads(line)
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        return None
+    return rec if isinstance(rec, dict) else None
 
 
 def append_cell(directory: str | os.PathLike, record: dict) -> Path:
@@ -296,8 +299,30 @@ def iter_spool_records(path: str | os.PathLike) -> Iterator[dict]:
     worker died mid-append) and non-cell records are skipped, so a spool is
     readable at any moment — during the sweep, and after a crash."""
     for rec in read_jsonl(path):
-        if rec and rec.get("type") == "cell" and rec.get("v") == SPOOL_VERSION:
+        if _is_cell(rec):
             yield rec
+
+
+def _is_cell(rec: dict | None) -> bool:
+    return bool(rec) and rec.get("type") == "cell" and rec.get("v") == SPOOL_VERSION
+
+
+def read_spool_from(
+    path: str | os.PathLike, offset: int = 0
+) -> tuple[list[CellTelemetry], int]:
+    """The cell records appended to spool file ``path`` from byte
+    ``offset`` on, and the offset just past the last complete line — so a
+    reader that follows one spool sees each record once and never a line
+    still being written."""
+    try:
+        with open(path, "rb") as fh:
+            fh.seek(offset)
+            data = fh.read()
+    except OSError:
+        return [], offset
+    end = data.rfind(b"\n") + 1
+    records = (_json_object(line) for line in data[:end].splitlines())
+    return [_cell_from_record(r) for r in records if _is_cell(r)], offset + end
 
 
 def read_spools(directory: str | os.PathLike) -> list[CellTelemetry]:

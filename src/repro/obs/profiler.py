@@ -94,8 +94,8 @@ class SamplingProfiler:
         self.interval_s = interval_s
         self.max_depth = max_depth
         #: Sample this thread instead of the one calling ``start()`` —
-        #: forces thread mode.  Lets a daemon profile e.g. its batch
-        #: executor thread from the asyncio thread.
+        #: forces thread mode.  Lets a daemon profile e.g. its dispatcher
+        #: thread from the asyncio thread.
         self.target_thread_id = target_thread_id
         self.requested_mode = mode
         #: The engine actually used ("itimer" or "thread"); set by start().

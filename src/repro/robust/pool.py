@@ -1,23 +1,31 @@
 """A pool of long-lived workers with exact crash blame.
 
-:class:`ExecutionPool` binds a callable once and drives batches of items
-through it.  With ``jobs == 1`` items run in-process (exceptions are still
-retried, but the stall timeout cannot preempt a running item).  With
-``jobs > 1`` the pool owns up to ``jobs`` forked workers that live from the
-first batch that needs them until :meth:`ExecutionPool.close`.  Each worker
-is fed over its own pipe and holds at most one item, so blame is exact:
+:class:`ExecutionPool` binds a callable once and drives items through it.
+With ``jobs == 1`` items run in-process (exceptions are still retried, but
+the stall timeout cannot preempt a running item).  With ``jobs > 1`` the
+pool owns up to ``jobs`` forked workers that live from the first item that
+needs them until :meth:`ExecutionPool.close`.  Each worker is fed over its
+own pipe and holds at most one item, so blame is exact:
 
 - a worker that dies (``os._exit``, segfault, OOM kill) fails exactly the
   item it held, as ``WorkerDied`` with its exit code, and is replaced on
   the next dispatch; siblings keep their results and are never re-run;
-- when no item completes for a full ``timeout_s``, every busy item is
-  declared hung (``Timeout``) and its worker killed and later replaced;
-- a failed item gets up to ``retries`` more attempts, in rounds separated
-  by a capped, jittered backoff (:mod:`repro.robust.backoff`);
+- an item that has run for its own timeout is hung (``Timeout``): only its
+  worker is killed and later replaced;
+- a failed item gets up to ``retries`` more attempts, each after a capped,
+  jittered backoff (:mod:`repro.robust.backoff`) that waits on a timer
+  while the other items keep running;
 - with ``telemetry_dir`` every execution runs under its own
-  :class:`~repro.obs.pipeline.spooled_cell`, merged into the active
-  recorder when the batch ends, so counter totals and span counts match
-  between ``jobs=1`` and ``jobs=N``.
+  :class:`~repro.obs.pipeline.spooled_cell`, read back when the execution
+  ends, so counter totals and span counts match between ``jobs=1`` and
+  ``jobs=N``.
+
+Two ways in.  :meth:`ExecutionPool.submit` hands over one item and returns
+at once; :meth:`ExecutionPool.poll` waits for the pool's next events
+(results, deaths, timeouts, due retries, or a :meth:`~ExecutionPool.wake`
+from another thread) and runs each finished item's callback.
+:meth:`ExecutionPool.run` is "submit all, poll until done", for sweeps and
+batches.
 
 Items (argument tuples; bare values are 1-tuples) and results cross the
 pipe pickled; anything else an item needs must travel with it or be bound
@@ -28,11 +36,14 @@ is never held half-open by a worker.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import multiprocessing
 import os
 import signal
 import stat
 import time
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait
@@ -41,11 +52,12 @@ from typing import Callable, Sequence
 
 from ..obs import recorder as obs
 from ..obs.pipeline import (
-    SpoolMerge, clear_spools, current_context, merge_spools, spooled_cell,
+    CellTelemetry, SpoolMerge, clear_spools, current_context, read_spool_from,
+    spool_path, spooled_cell,
 )
 from .backoff import RetryPolicy
 
-#: Sleep between retry rounds: 50 ms doubling, capped at 5 s, jittered.
+#: Wait before a retry: 50 ms doubling, capped at 5 s, jittered.
 _RETRY = RetryPolicy()
 
 
@@ -110,12 +122,13 @@ class SweepResult:
 
 @dataclass(frozen=True)
 class PoolConfig:
-    """Execution knobs shared by every batch a pool runs.
+    """Execution knobs shared by every item a pool runs.
 
     ``jobs=1`` executes in-process; ``jobs>1`` runs every item in one of
-    up to ``jobs`` long-lived workers.  ``timeout_s`` bounds the time a
-    batch tolerates with no item completing before declaring the busy items
-    hung.  ``retries`` extra attempts follow a failed one.
+    up to ``jobs`` long-lived workers.  ``timeout_s`` bounds how long an
+    item may run on a worker before it is declared hung (an item may carry
+    a tighter one of its own).  ``retries`` extra attempts follow a failed
+    one.
     """
 
     jobs: int = 1
@@ -216,52 +229,41 @@ class _Worker:
 # -- parent side -----------------------------------------------------------------
 
 
-class _Batch:
-    """Bookkeeping of one batch: outcomes, attempts and telemetry."""
+@dataclass(eq=False)
+class Job:
+    """One item on its way through the pool.
 
-    def __init__(self, calls, cells, retries, telemetry_dir, on_result) -> None:
-        self.calls = calls
-        self.cells = cells
-        self.max_attempts = retries + 1
-        self.attempts = [0] * len(calls)
-        self.result = SweepResult(results=[None] * len(calls))
-        self.on_result = on_result
-        self.telemetry_dir = telemetry_dir
-        self.context = None
-        if telemetry_dir is not None:
-            Path(telemetry_dir).mkdir(parents=True, exist_ok=True)
-            clear_spools(telemetry_dir)
-            self.context = current_context()
+    ``on_start(job)``, if given, runs once, right before the first attempt
+    reaches a worker (or runs in-process): it may rewrite ``args`` and
+    ``timeout_s``, or return False to withdraw the job, whose ``on_done``
+    then never runs.  ``on_done(job)`` runs once, from
+    :meth:`ExecutionPool.poll`, when ``result`` holds the value or a
+    :class:`SweepFailure`.
+    """
 
-    def job(self, k: int) -> tuple:
-        """Charge item ``k`` an attempt; returns ``(args, spool)``."""
-        self.attempts[k] += 1
-        self.result.attempts += 1
-        spool = None
-        if self.context is not None:
-            cell = self.cells[k]
-            spool = (
-                os.fspath(self.telemetry_dir),
-                self.context.child(f"cell-{cell}"),
-                cell,
-            )
-        return self.calls[k], spool
+    args: tuple
+    on_done: Callable[["Job"], None]
+    timeout_s: float | None = None
+    on_start: Callable[["Job"], bool] | None = None
+    cell: int = 0
+    #: ``(directory, context, cell)`` of a spooled execution, else None.
+    spool: tuple | None = None
+    attempts: int = 0
+    #: Workers this job's attempts cost (deaths and hung kills).
+    restarts: int = 0
+    result: object = None
+    #: Spool records of this job's executions, read as each one ends.
+    telemetry: list[CellTelemetry] = field(default_factory=list)
+    #: Monotonic start of the running attempt.
+    started: float = 0.0
 
-    def succeed(self, k: int, value) -> None:
-        self.result.results[k] = value
-        if self.on_result is not None:
-            self.on_result(self.cells[k], value)
 
-    def fail(self, k: int, error_type: str, message: str, retry: list[int]) -> None:
-        """A failed attempt: queued for the next round while attempts
-        remain, else recorded as a :class:`SweepFailure`."""
-        if self.attempts[k] < self.max_attempts:
-            retry.append(k)
-            return
-        failure = SweepFailure(self.cells[k], error_type, message, self.attempts[k])
-        self.result.results[k] = failure
-        self.result.failures.append(failure)
-        obs.count("sweep.failures")
+def _close_fds(*fds: int) -> None:
+    for fd in fds:
+        try:
+            os.close(fd)
+        except OSError:
+            pass
 
 
 class ExecutionPool:
@@ -269,7 +271,8 @@ class ExecutionPool:
 
     ``fn`` is called as ``fn(*item)``; with ``jobs > 1`` it runs in the
     workers, so items and return values must pickle.  Use the pool as a
-    context manager, or call :meth:`close`, to stop the workers.
+    context manager, or call :meth:`close`, to stop the workers.  Only one
+    thread may drive a pool; :meth:`wake` is the one call safe from others.
     """
 
     def __init__(
@@ -281,11 +284,28 @@ class ExecutionPool:
         self.fn = fn
         self.config = config or PoolConfig()
         self.telemetry_dir = telemetry_dir
-        #: Aggregate bookkeeping across batches.
+        #: Units of work handed over — :meth:`run` calls and
+        #: :meth:`submit` calls, each a batch of one — and totals across
+        #: them.
         self.batches = 0
         self.attempts = 0
         self.pool_restarts = 0
         self._idle: list[_Worker] = []
+        self._busy: dict[_Worker, Job] = {}
+        #: Jobs waiting for a worker, oldest first.
+        self._ready: deque[Job] = deque()
+        #: Failed jobs waiting out their backoff: (due, seq, job) heap.
+        self._timers: list[tuple[float, int, Job]] = []
+        #: Finished jobs whose on_done has not run yet.
+        self._finished: list[Job] = []
+        self._seq = itertools.count()
+        self._rng = _RETRY.rng(0)
+        #: Bytes of each process's spool file already read, by pid.
+        self._spool_read: dict[int, int] = {}
+        self._wake_r, self._wake_w = os.pipe()
+        os.set_blocking(self._wake_r, False)
+        os.set_blocking(self._wake_w, False)
+        weakref.finalize(self, _close_fds, self._wake_r, self._wake_w)
 
     def __enter__(self) -> "ExecutionPool":
         return self
@@ -294,134 +314,298 @@ class ExecutionPool:
         self.close()
 
     def close(self) -> None:
-        """Stop every worker; a later :meth:`run` starts new ones."""
-        workers, self._idle = self._idle, []
-        for worker in workers:
+        """Stop every worker and drop every unfinished job (its
+        ``on_done`` never runs); a later submit or run starts new
+        workers."""
+        busy, self._busy = self._busy, {}
+        for worker in busy:
+            worker.kill()
+        idle, self._idle = self._idle, []
+        for worker in idle:
             worker.stop()
+        self._ready.clear()
+        self._timers.clear()
+        self._finished.clear()
 
-    def run(
+    # -- the non-blocking core --------------------------------------------------
+
+    def submit(
         self,
-        items: Sequence[object],
-        timeout_s: float | None = None,
-    ) -> SweepResult:
+        item: object,
+        on_done: Callable[[Job], None],
+        on_start: Callable[[Job], bool] | None = None,
+    ) -> Job:
+        """Hand one item to the pool as a batch of its own: it starts on an
+        idle worker now (forking one while fewer than ``jobs`` exist) or
+        waits for one.  ``on_done(job)`` runs from a later :meth:`poll`."""
+        self.batches += 1
+        job = self._job(item, on_done, on_start, self.batches,
+                        current_context() if self.telemetry_dir else None)
+        self._enqueue(job)
+        return job
+
+    def poll(self) -> None:
+        """Wait for the pool's next events and handle them: results and
+        deaths, items that ran past their timeout, due retries and items
+        waiting for a worker; in-process (``jobs == 1``) one waiting item
+        runs.  Every job that finished has had its ``on_done`` run on
+        return.  :meth:`wake` ends the wait early."""
+        self._dispatch()
+        if self.config.jobs == 1:
+            self._run_inline()
+        else:
+            self._await_workers()
+        self._dispatch()
+        finished, self._finished = self._finished, []
+        for job in finished:
+            job.on_done(job)
+
+    def wake(self) -> None:
+        """End the current or next :meth:`poll` wait; safe from any
+        thread."""
+        try:
+            os.write(self._wake_w, b"\0")
+        except BlockingIOError:  # a wake-up is already pending
+            pass
+
+    # -- whole batches ---------------------------------------------------------
+
+    def run(self, items: Sequence[object]) -> SweepResult:
         """Drive one batch to completion; failed items appear as
         :class:`SweepFailure` entries in input order instead of aborting
-        the batch.
+        the batch."""
+        return self._run(items, range(len(items)))
 
-        ``timeout_s`` overrides the configured stall timeout for this
-        batch only — the serving tier tightens it to the smallest
-        remaining request deadline so a batch never outlives the clients
-        waiting on it.  ``None`` keeps the config value.
-        """
-        return self._run(items, range(len(items)), timeout_s)
-
-    def _run(self, items, cells, timeout_s=None, on_result=None) -> SweepResult:
+    def _run(self, items, cells, on_result=None) -> SweepResult:
         """:meth:`run` for the sweep driver: ``cells`` are the items' ids
         (spool cell ids and :attr:`SweepFailure.index`), and
         ``on_result(cell, value)`` sees each success as it lands."""
-        cfg = self.config
-        if timeout_s is None:
-            timeout_s = cfg.timeout_s
-        batch = _Batch(
-            [p if isinstance(p, tuple) else (p,) for p in items],
-            list(cells),
-            cfg.retries,
-            self.telemetry_dir,
-            on_result,
-        )
-        queue = list(range(len(batch.calls)))
-        rng = _RETRY.rng(0)
-        if queue:
-            with obs.span("sweep", cells=len(queue), jobs=cfg.jobs):
-                while True:
-                    if cfg.jobs == 1:
-                        retry = self._inline_round(batch, queue)
-                    else:
-                        retry = self._worker_round(batch, queue, timeout_s)
-                    if not retry:
-                        break
-                    worst = max(batch.attempts[k] for k in retry)
-                    time.sleep(_RETRY.delay_s(worst, rng))
-                    obs.count("sweep.retries", len(retry))
-                    queue = sorted(retry)
-        result = batch.result
-        if self.telemetry_dir is not None:
-            result.telemetry = merge_spools(self.telemetry_dir, obs.get_recorder())
         self.batches += 1
-        self.attempts += result.attempts
-        self.pool_restarts += result.pool_restarts
+        left = len(items)
+
+        def done(job: Job) -> None:
+            nonlocal left
+            left -= 1
+            if on_result is not None and not isinstance(job.result, SweepFailure):
+                on_result(job.cell, job.result)
+
+        context = current_context() if self.telemetry_dir else None
+        jobs = [
+            self._job(item, done, None, cell, context)
+            for item, cell in zip(items, cells)
+        ]
+        if jobs:
+            with obs.span("sweep", cells=len(jobs), jobs=self.config.jobs):
+                try:
+                    for job in jobs:
+                        self._enqueue(job)
+                    while left:
+                        self.poll()
+                except BaseException:
+                    # Interrupted: never let a later caller read these
+                    # answers.
+                    self.close()
+                    raise
+        results = [job.result for job in jobs]
+        result = SweepResult(
+            results=results,
+            failures=[r for r in results if isinstance(r, SweepFailure)],
+            attempts=sum(job.attempts for job in jobs),
+            pool_restarts=sum(job.restarts for job in jobs),
+        )
+        if self.telemetry_dir is not None:
+            cells = [c for job in jobs for c in job.telemetry]
+            cells.sort(key=lambda c: (c.start_ns, c.pid, c.cell))
+            result.telemetry = SpoolMerge(cells)
+            recorder = obs.get_recorder()
+            if recorder is not None:
+                result.telemetry.merge_into(recorder)
         return result
 
-    def _inline_round(self, batch: _Batch, queue: list[int]) -> list[int]:
-        retry: list[int] = []
-        for k in queue:
-            try:
-                batch.succeed(k, _call(self.fn, *batch.job(k)))
-            except Exception as exc:  # noqa: BLE001
-                batch.fail(k, type(exc).__name__, str(exc), retry)
-        return retry
+    # -- internals --------------------------------------------------------------
 
-    def _checkout(self, batch: _Batch) -> _Worker:
+    def _job(self, item, on_done, on_start, cell, context) -> Job:
+        spool = None
+        if self.telemetry_dir is not None:
+            spool = (os.fspath(self.telemetry_dir), context.child(f"cell-{cell}"), cell)
+        return Job(
+            args=item if isinstance(item, tuple) else (item,),
+            on_done=on_done,
+            timeout_s=self.config.timeout_s,
+            on_start=on_start,
+            cell=cell,
+            spool=spool,
+        )
+
+    def _enqueue(self, job: Job) -> None:
+        if self.telemetry_dir is not None and not (
+            self._busy or self._ready or self._timers
+        ):
+            # Nothing in flight, so no worker is writing a spool: the
+            # previous items' spools can go.
+            Path(self.telemetry_dir).mkdir(parents=True, exist_ok=True)
+            clear_spools(self.telemetry_dir)
+            self._spool_read.clear()
+        self._ready.append(job)
+        self._dispatch()
+
+    def _dispatch(self) -> None:
+        """Put due retries at the head of the waiting jobs, then start
+        waiting jobs on free workers (in-process jobs wait for poll)."""
+        now = time.monotonic()
+        due = []
+        while self._timers and self._timers[0][0] <= now:
+            due.append(heapq.heappop(self._timers)[2])
+        self._ready.extendleft(reversed(due))
+        if self.config.jobs == 1:
+            return
+        while self._ready and len(self._busy) < self.config.jobs:
+            job = self._ready.popleft()
+            if not self._begin(job):
+                continue
+            try:
+                worker = self._checkout(job)
+            except OSError as exc:  # fork failed
+                self._fail(job, type(exc).__name__, str(exc))
+                continue
+            try:
+                worker.conn.send((job.args, job.spool))
+            except Exception as exc:  # noqa: BLE001 - unpicklable item, dead pipe
+                worker.kill()
+                self._restarted(job)
+                self._fail(job, type(exc).__name__, str(exc))
+                continue
+            job.started = time.monotonic()
+            self._busy[worker] = job
+
+    def _begin(self, job: Job) -> bool:
+        """Charge ``job`` an attempt; False when its ``on_start`` withdrew
+        it."""
+        if job.attempts == 0 and job.on_start is not None and not job.on_start(job):
+            return False
+        job.attempts += 1
+        self.attempts += 1
+        return True
+
+    def _checkout(self, job: Job) -> _Worker:
         """An idle live worker, else a new one."""
         while self._idle:
             worker = self._idle.pop()
             if worker.proc.exitcode is None:
                 return worker
             worker.conn.close()  # died while idle
-            batch.result.pool_restarts += 1
+            self._restarted(job)
         return _Worker(self.fn)
 
-    def _worker_round(
-        self, batch: _Batch, queue: list[int], timeout_s: float | None
-    ) -> list[int]:
-        retry: list[int] = []
-        todo = deque(queue)
-        busy: dict[_Worker, int] = {}
-        last_progress = time.monotonic()
-        try:
-            while todo or busy:
-                while todo and len(busy) < self.config.jobs:
-                    k = todo.popleft()
-                    worker = self._checkout(batch)
-                    worker.conn.send(batch.job(k))
-                    busy[worker] = k
-                wait_s = None
-                if timeout_s is not None:
-                    wait_s = max(last_progress + timeout_s - time.monotonic(), 0.0)
-                ready = wait(
-                    [w.conn for w in busy] + [w.proc.sentinel for w in busy], wait_s
-                )
-                if not ready:
-                    # Stall timeout: no completion for a full timeout_s
-                    # window, so every busy item is hung.
-                    message = f"no completion within {timeout_s:g}s"
-                    for worker, k in busy.items():
-                        worker.kill()
-                        batch.result.pool_restarts += 1
-                        batch.fail(k, "Timeout", message, retry)
-                    busy.clear()
-                done = [w for w in busy if w.conn in ready or w.proc.sentinel in ready]
-                for worker in done:
-                    k = busy.pop(worker)
-                    try:
-                        ok, payload = worker.conn.recv()
-                    except (EOFError, OSError):
-                        worker.proc.join()
-                        worker.conn.close()
-                        batch.result.pool_restarts += 1
-                        proc = worker.proc
-                        message = f"worker {proc.pid} exited with code {proc.exitcode}"
-                        batch.fail(k, "WorkerDied", message, retry)
-                        continue
-                    self._idle.append(worker)
-                    if ok:
-                        batch.succeed(k, payload)
-                    else:
-                        batch.fail(k, *payload, retry)
-                last_progress = time.monotonic()
-        finally:
-            # Only an exception leaves items in flight: never let a later
-            # batch read their answers.
-            for worker in busy:
+    def _restarted(self, job: Job) -> None:
+        job.restarts += 1
+        self.pool_restarts += 1
+
+    def _wait_s(self) -> float | None:
+        """Time until the first event the pool must act on by itself: a
+        finished job to deliver, a running item's timeout or a due retry
+        (None: no such event)."""
+        if self._finished:
+            return 0.0
+        ends = [
+            job.started + job.timeout_s
+            for job in self._busy.values()
+            if job.timeout_s is not None
+        ]
+        if self._timers:
+            ends.append(self._timers[0][0])
+        return max(min(ends) - time.monotonic(), 0.0) if ends else None
+
+    def _await_workers(self) -> None:
+        busy = list(self._busy.items())
+        ready = wait(
+            [w.conn for w, _ in busy] + [w.proc.sentinel for w, _ in busy]
+            + [self._wake_r],
+            self._wait_s(),
+        )
+        if self._wake_r in ready:
+            self._drain_wake()
+        for worker, job in busy:
+            if worker.conn in ready or worker.proc.sentinel in ready:
+                del self._busy[worker]
+                self._collect(worker, job)
+        now = time.monotonic()
+        for worker, job in list(self._busy.items()):
+            if job.timeout_s is not None and now - job.started >= job.timeout_s:
+                # Hung: only this item's worker is killed.
+                del self._busy[worker]
                 worker.kill()
-        return retry
+                self._restarted(job)
+                self._fail(job, "Timeout", f"no result within {job.timeout_s:g}s")
+
+    def _collect(self, worker: _Worker, job: Job) -> None:
+        """A busy worker answered or died."""
+        try:
+            ok, payload = worker.conn.recv()
+        except (EOFError, OSError):
+            worker.proc.join()
+            worker.conn.close()
+            self._restarted(job)
+            proc = worker.proc
+            message = f"worker {proc.pid} exited with code {proc.exitcode}"
+            self._fail(job, "WorkerDied", message)
+            return
+        self._idle.append(worker)
+        self._read_spool(job, worker.proc.pid)
+        if ok:
+            self._finish(job, payload)
+        else:
+            self._fail(job, *payload)
+
+    def _run_inline(self) -> None:
+        if not self._ready:
+            if wait([self._wake_r], self._wait_s()):
+                self._drain_wake()
+            self._dispatch()
+            if not self._ready:
+                return
+        job = self._ready.popleft()
+        if not self._begin(job):
+            return
+        try:
+            value = _call(self.fn, job.args, job.spool)
+        except Exception as exc:  # noqa: BLE001
+            self._read_spool(job, os.getpid())
+            self._fail(job, type(exc).__name__, str(exc))
+        else:
+            self._read_spool(job, os.getpid())
+            self._finish(job, value)
+
+    def _drain_wake(self) -> None:
+        try:
+            while os.read(self._wake_r, 4096):
+                pass
+        except BlockingIOError:
+            pass
+
+    def _read_spool(self, job: Job, pid: int) -> None:
+        """Take the spool records ``pid`` wrote for ``job``'s execution that
+        just ended: each process runs one item at a time, so they are the
+        lines after the ones already read."""
+        if job.spool is None:
+            return
+        cells, self._spool_read[pid] = read_spool_from(
+            spool_path(self.telemetry_dir, pid), self._spool_read.get(pid, 0)
+        )
+        job.telemetry += cells
+
+    def _finish(self, job: Job, value) -> None:
+        job.result = value
+        self._finished.append(job)
+
+    def _fail(self, job: Job, error_type: str, message: str) -> None:
+        """A failed attempt: retried after a backoff while attempts remain,
+        else the job finishes as a :class:`SweepFailure`."""
+        if job.attempts <= self.config.retries:
+            due = time.monotonic() + _RETRY.delay_s(job.attempts, self._rng)
+            heapq.heappush(self._timers, (due, next(self._seq), job))
+            obs.count("sweep.retries")
+            return
+        job.result = SweepFailure(job.cell, error_type, message, job.attempts)
+        obs.count("sweep.failures")
+        self._finished.append(job)

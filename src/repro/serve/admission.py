@@ -8,13 +8,13 @@ provides the two load-safety primitives the serve tier threads through
 both transports:
 
 - :class:`AdmissionController` — a bounded admission ledger.  Every
-  request must be admitted before it may enter the batch queue; admission
+  request must be admitted before it may enter the request queue; admission
   fails (the request is **shed** with a structured ``overloaded`` error)
   when the queue is at capacity or the request's transport already has too
   many requests in flight.  Between "healthy" and "shedding" sits
-  **brownout**: above a configurable queue-depth fraction the daemon stops
-  widening batches and disables the debug endpoints, shedding optional
-  work before it sheds requests.
+  **brownout**: above a configurable queue-depth fraction the daemon
+  disables the debug endpoints, shedding optional work before it sheds
+  requests.
 - :class:`CircuitBreaker` / :class:`BreakerBoard` — per-scheduler-class
   failure isolation.  K consecutive compute failures (crashes, timeouts,
   guard degradations that indicate adversity rather than policy) open the
@@ -24,8 +24,9 @@ both transports:
   or re-opens the breaker.
 
 Everything here is transport-agnostic bookkeeping guarded by a lock: the
-asyncio thread admits and releases, the batch-executor thread records
-compute outcomes, and ``/stats`` snapshots from whichever thread asks.
+asyncio thread admits and releases, the dispatcher thread notes dequeues
+and records compute outcomes, and ``/stats`` snapshots from whichever
+thread asks.
 """
 
 from __future__ import annotations
@@ -59,7 +60,8 @@ BREAKER_STATE_CODES = {
 class AdmissionConfig:
     """Knobs of the daemon's admission policy.
 
-    ``queue_capacity`` bounds the batch queue: requests beyond it are shed.
+    ``queue_capacity`` bounds the request queue: requests beyond it are
+    shed.
     ``inflight_limit`` bounds admitted-but-unanswered requests *per
     transport* (``unix`` / ``http``), so one greedy transport cannot starve
     the other.  ``brownout_fraction`` is the queue-depth fraction at which
@@ -96,9 +98,9 @@ class AdmissionController:
     """Bounded admission ledger shared by both transports.
 
     Protocol: :meth:`try_admit` before enqueueing (``None`` means admitted,
-    a string is the shed reason), :meth:`note_dequeued` when the batch loop
-    moves a request from the queue to execution, :meth:`release` when its
-    response future resolves.  ``queue_depth`` can therefore never exceed
+    a string is the shed reason), :meth:`note_dequeued` when the request
+    is answered or its computation reaches a worker, :meth:`release` when
+    its response future resolves.  ``queue_depth`` can therefore never exceed
     ``config.queue_capacity`` — the property the bounded-queue test pins.
     """
 
@@ -156,8 +158,8 @@ class AdmissionController:
         return reason
 
     def note_dequeued(self, n: int = 1) -> None:
-        """The batch loop moved ``n`` requests from the queue into a batch
-        (they stay inflight until their futures resolve)."""
+        """``n`` requests left the queue: answered, or on a worker (they
+        stay inflight until their futures resolve)."""
         with self._lock:
             self._depth = max(0, self._depth - n)
             self._note_brownout_locked()
@@ -200,7 +202,7 @@ class AdmissionController:
     @property
     def brownout(self) -> bool:
         """True while queue depth is at or above the brownout threshold —
-        the daemon stops widening batches and disables debug endpoints."""
+        the daemon disables its debug endpoints."""
         with self._lock:
             return self._depth >= self._brownout_depth
 

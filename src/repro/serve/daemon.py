@@ -17,29 +17,31 @@ Two transports over one :class:`~repro.serve.service.ScheduleService`:
   ``/debug/errors`` (tail-sampled request traces, ``?trace_id=``, ``?n=``,
   ``&format=jsonl`` for replayable waterfall JSONL), ``GET /debug/top``
   (one self-contained stats+metrics document for ``repro top``), and
-  ``GET /debug/profile?seconds=S`` (on-demand flamegraph of the batch
-  executor thread).  No keep-alive, no chunked bodies; enough for curl,
-  load generators and scrapers without pulling in a web framework.
+  ``GET /debug/profile?seconds=S`` (on-demand flamegraph of the dispatcher
+  thread).  No keep-alive, no chunked bodies; enough for curl, load
+  generators and scrapers without pulling in a web framework.
 
-Batching: every schedule request lands in one queue; a collector task
-drains it into batches of up to ``batch_max`` requests, waiting at most
-``batch_window_s`` after the first arrival so concurrent clients coalesce.
-Each batch runs in a **single-thread** executor — the obs recorder is
-process-global, so request handling must not interleave in threads; CPU
-parallelism comes from the service's worker pool (``--jobs``), not from
-threading the daemon.
+Continuous dispatch: one **dispatcher thread** owns the service and its
+worker pool — the obs recorder is process-global, so request handling
+must not interleave in threads; CPU parallelism comes from the service's
+worker pool (``--jobs``), not from threading the daemon.  The dispatcher
+takes each admitted request as soon as it is queued (a hit or an error is
+answered at once, a miss goes to the first free worker) and otherwise
+waits in the pool's ``poll()`` until a worker returns, a timer falls due
+or a new request wakes it.  Each response goes back to the event loop the
+moment it exists; no request waits for another's compute.
 
 Overload safety: the queue is **bounded** by an
 :class:`~repro.serve.admission.AdmissionController` — every request must
 be admitted before it is enqueued, and a request beyond the queue
 capacity (or its transport's inflight limit) is shed immediately with a
 structured ``overloaded`` error carrying ``retry_after_s`` (HTTP answers
-503 with a ``Retry-After`` header).  Above the brownout threshold the
-collector stops paying the coalescing wait and the ``/debug/*``
-endpoints answer 503 — optional work is shed before requests are.  A
-request document may carry ``deadline_ms``; the daemon stamps its expiry
-at admission, and the service drops it with ``deadline_exceeded`` (HTTP
-504) if the budget dies in the queue.
+503 with a ``Retry-After`` header).  A miss stays queued until it reaches
+a worker.  Above the brownout threshold the ``/debug/*`` endpoints answer
+503 — optional work is shed before requests are.  A request document may
+carry ``deadline_ms``; the daemon stamps its expiry at admission, and the
+service drops it with ``deadline_exceeded`` (HTTP 504) if the budget dies
+before it reaches a worker.
 """
 
 from __future__ import annotations
@@ -48,9 +50,9 @@ import asyncio
 import functools
 import json
 import os
+import queue
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
 
@@ -64,17 +66,12 @@ from .admission import AdmissionConfig, AdmissionController
 from .protocol import deadline_s_from_doc, error_response
 from .service import ScheduleService
 
-#: Default limit on requests coalesced into one batch.
-DEFAULT_BATCH_MAX = 16
-
-#: Default coalescing window after the first request of a batch (seconds).
-DEFAULT_BATCH_WINDOW_S = 0.002
-
 _MAX_LINE = 32 * 1024 * 1024  # 32 MiB: generous bound for one JSON request
 
 
 class ScheduleServer:
-    """The daemon: transports + batcher around a :class:`ScheduleService`."""
+    """The daemon: transports + dispatcher around a
+    :class:`ScheduleService`."""
 
     def __init__(
         self,
@@ -82,16 +79,12 @@ class ScheduleServer:
         socket_path: str | os.PathLike | None = None,
         host: str = "127.0.0.1",
         port: int | None = None,
-        batch_max: int = DEFAULT_BATCH_MAX,
-        batch_window_s: float = DEFAULT_BATCH_WINDOW_S,
         access_log: str | os.PathLike | None = None,
         admission: AdmissionConfig | None = None,
         max_line: int = _MAX_LINE,
     ) -> None:
         if socket_path is None and port is None:
             raise ValueError("need a unix socket path and/or a TCP port")
-        if batch_max < 1:
-            raise ValueError(f"batch_max must be >= 1, got {batch_max}")
         if max_line < 1024:
             raise ValueError(f"max_line must be >= 1024, got {max_line}")
         self.service = service
@@ -105,33 +98,23 @@ class ScheduleServer:
         self.socket_path = Path(socket_path) if socket_path is not None else None
         self.host = host
         self.port = port
-        self.batch_max = batch_max
-        self.batch_window_s = batch_window_s
         self.access_log_path = (
             Path(access_log) if access_log is not None else None
         )
         self._access_log = None
-        self._queue: asyncio.Queue | None = None
         self._servers: list[asyncio.base_events.Server] = []
-        self._batcher: asyncio.Task | None = None
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="serve-batch"
-        )
-        self._executor_thread_id: int | None = None
+        self._loop: asyncio.AbstractEventLoop | None = None
+        #: Admitted requests on their way to the dispatcher; None stops it.
+        self._inbox: queue.SimpleQueue = queue.SimpleQueue()
+        self._dispatcher: threading.Thread | None = None
 
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> None:
-        self._queue = asyncio.Queue()
+        self._loop = asyncio.get_running_loop()
         if self.access_log_path is not None:
             self.access_log_path.parent.mkdir(parents=True, exist_ok=True)
             self._access_log = self.access_log_path.open("a", encoding="utf-8")
-        # Capture the batch executor's thread id so /debug/profile can
-        # sample the thread that actually runs request handling.
-        self._executor_thread_id = await asyncio.get_running_loop().run_in_executor(
-            self._executor, threading.get_ident
-        )
-        self._batcher = asyncio.get_running_loop().create_task(self._batch_loop())
         if self.socket_path is not None:
             self.socket_path.parent.mkdir(parents=True, exist_ok=True)
             if self.socket_path.exists():
@@ -153,20 +136,25 @@ class ScheduleServer:
             self._servers.append(server)
             # Resolve port 0 to the actual bound port for clients.
             self.port = server.sockets[0].getsockname()[1]
+        # Last, so a transport that fails to bind leaves no thread behind;
+        # requests accepted meanwhile wait in the inbox.
+        self._dispatcher = threading.Thread(
+            target=self._dispatch, name="serve-dispatch", daemon=True
+        )
+        self._dispatcher.start()
 
     async def stop(self) -> None:
         for server in self._servers:
             server.close()
             await server.wait_closed()
         self._servers.clear()
-        if self._batcher is not None:
-            self._batcher.cancel()
-            try:
-                await self._batcher
-            except asyncio.CancelledError:
-                pass
-            self._batcher = None
-        self._executor.shutdown(wait=True)
+        if self._dispatcher is not None:
+            # Requests still in flight get no answer: their connections
+            # close with the daemon.
+            self._inbox.put(None)
+            self.service.pool.wake()
+            await asyncio.to_thread(self._dispatcher.join)
+            self._dispatcher = None
         self.service.close()
         if self._access_log is not None:
             self._access_log.close()
@@ -191,16 +179,17 @@ class ScheduleServer:
             out.append(f"http://{self.host}:{self.port}")
         return out
 
-    # -- batching ------------------------------------------------------------
+    # -- dispatch ------------------------------------------------------------
 
     async def _submit(self, doc: dict, transport: str = "unknown") -> dict:
         """Admit + enqueue one request document; resolves to its response.
 
         Admission is the bounded front door: a request beyond the queue
         capacity or the transport's inflight limit is answered
-        ``overloaded`` right here — it never touches the queue, the batch
-        executor, or the pool.  Admitted requests get their ``deadline_ms``
-        expiry stamped now, so queue wait counts against the budget.
+        ``overloaded`` right here — it never touches the queue, the
+        dispatcher, or the pool.  Admitted requests get their
+        ``deadline_ms`` expiry stamped now, so queue wait counts against
+        the budget.
         """
         request_id = doc.get("id") if isinstance(doc, dict) else None
         reason = self.admission.try_admit(transport)
@@ -215,75 +204,54 @@ class ScheduleServer:
         budget_s = deadline_s_from_doc(doc)
         expires = None if budget_s is None else time.monotonic() + budget_s
         future: asyncio.Future = asyncio.get_running_loop().create_future()
-        await self._queue.put(
-            (doc, transport, time.monotonic(), expires, future)
-        )
+        self._inbox.put((doc, transport, time.monotonic(), expires, future))
+        self.service.pool.wake()
         try:
             return await future
         finally:
             self.admission.release(transport)
 
-    async def _batch_loop(self) -> None:
-        loop = asyncio.get_running_loop()
+    def _dispatch(self) -> None:
+        """The dispatcher thread: submit every queued request, then wait in
+        the pool for the next completion, timer or arrival."""
         while True:
-            first = await self._queue.get()
-            batch = [first]
-            deadline = loop.time() + self.batch_window_s
-            while len(batch) < self.batch_max:
-                if self.admission.brownout:
-                    # Brownout: stop paying the coalescing wait — take only
-                    # what is already queued and get it to the executor.
-                    try:
-                        batch.append(self._queue.get_nowait())
-                    except asyncio.QueueEmpty:
-                        break
-                    continue
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
+            while True:
                 try:
-                    batch.append(
-                        await asyncio.wait_for(self._queue.get(), remaining)
-                    )
-                except asyncio.TimeoutError:
+                    entry = self._inbox.get_nowait()
+                except queue.Empty:
                     break
-            self.admission.note_dequeued(len(batch))
-            docs = [doc for doc, _, _, _, _ in batch]
-            transports = [transport for _, transport, _, _, _ in batch]
-            # Remaining per-request budgets at dispatch: queue wait already
-            # spent; the service drops expired ones before they reach the
-            # pool and tightens the pool stall timeout to the rest.
-            now = time.monotonic()
-            deadlines = [
-                None if expires is None else expires - now
-                for _, _, _, expires, _ in batch
-            ]
-            try:
-                responses = await loop.run_in_executor(
-                    self._executor,
-                    functools.partial(
-                        self.service.handle_batch,
-                        docs,
-                        transports=transports,
-                        deadlines=deadlines,
-                    ),
-                )
-            except Exception as exc:  # defensive: the service shouldn't raise
-                responses = [
-                    error_response(
-                        doc.get("id") if isinstance(doc, dict) else None,
-                        f"internal error: {exc}",
-                        code="internal",
-                    )
-                    for doc in docs
-                ]
-            now = time.monotonic()
-            for (doc, transport, enqueued, _, future), response in zip(
-                batch, responses
-            ):
-                if not future.done():
-                    future.set_result(response)
-                self._log_access(doc, transport, response, now - enqueued)
+                if entry is None:
+                    return
+                self._take(*entry)
+            self.service.pool.poll()
+
+    def _take(self, doc, transport, enqueued, expires, future) -> None:
+        # The budget left now, queue wait already spent; the service drops
+        # an expired request before it reaches a worker.
+        remaining = None if expires is None else expires - time.monotonic()
+        reply = functools.partial(self._reply, doc, transport, enqueued, future)
+        try:
+            self.service.submit(doc, transport, remaining, reply)
+        except Exception as exc:  # defensive: the service shouldn't raise
+            reply(error_response(
+                doc.get("id") if isinstance(doc, dict) else None,
+                f"internal error: {exc}",
+                code="internal",
+            ))
+
+    def _reply(self, doc, transport, enqueued, future, response) -> None:
+        """Called by the service in the dispatcher thread; hands the
+        response to the event loop."""
+        self._loop.call_soon_threadsafe(
+            self._resolve, doc, transport, enqueued, future, response
+        )
+
+    def _resolve(self, doc, transport, enqueued, future, response) -> None:
+        if not future.done():
+            future.set_result(response)
+            self._log_access(
+                doc, transport, response, time.monotonic() - enqueued
+            )
 
     def _log_access(
         self, doc, transport: str, response: dict, duration_s: float
@@ -594,7 +562,7 @@ class ScheduleServer:
         return status, "application/json", body.encode(), headers
 
     async def _profile_response(self, query: dict) -> tuple[str, str, bytes]:
-        """``GET /debug/profile``: sample the batch-executor thread for
+        """``GET /debug/profile``: sample the dispatcher thread for
         ``seconds`` and answer a flamegraph (``format=html``, default) or
         collapsed stacks (``format=collapsed``)."""
         try:
@@ -610,7 +578,9 @@ class ScheduleServer:
         prof = SamplingProfiler(
             interval_s=interval_ms / 1e3,
             mode="thread",
-            target_thread_id=self._executor_thread_id,
+            target_thread_id=(
+                self._dispatcher.ident if self._dispatcher is not None else None
+            ),
         )
         try:
             prof.start()
@@ -676,7 +646,7 @@ class ServerHandle:
         """Stop the daemon thread; raises :class:`RuntimeError` if it does
         not join within ``timeout_s`` (a hung shutdown must not be silently
         reported as a clean one — a leaked daemon thread still owns the
-        sockets and the batch executor)."""
+        sockets and the dispatcher)."""
         if self._loop is not None and self._loop.is_running():
             self._loop.call_soon_threadsafe(self._loop.stop)
         if self._thread is not None:

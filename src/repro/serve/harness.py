@@ -610,11 +610,11 @@ def run_chaos(
                 cold = drive(server.socket_path, cold_docs, clients)
                 submitted += len(cold_docs)
 
-                # -- overload burst against a busy executor ----------------
-                # Pin the batch executor with one guaranteed-slow request,
-                # then fire `burst` concurrent requests at a queue of
-                # capacity C: admission must answer every one (ok or shed)
-                # and depth must never exceed C.
+                # -- overload burst against a busy pool --------------------
+                # Pin one worker with one guaranteed-slow request, then
+                # fire `burst` concurrent requests at a queue of capacity
+                # C: admission must answer every one (ok or shed) and depth
+                # must never exceed C.
                 blocker = request_doc(
                     requests + 3, seed, _planned_id(plan, "blocker-", ("hang", "slow"))
                 )
@@ -628,7 +628,7 @@ def run_chaos(
                     doc["deadline_ms"] = 1
                 with ThreadPoolExecutor(max_workers=1) as pool:
                     blocked = pool.submit(drive, server.socket_path, [blocker], 1)
-                    time.sleep(0.05)  # let the blocker occupy the executor
+                    time.sleep(0.05)  # let the blocker occupy a worker
                     burst_responses = drive(server.socket_path, burst_docs, burst)
                     blocked.result()
                 submitted += 1 + len(burst_docs)

@@ -3,42 +3,56 @@
 :class:`ScheduleService` owns the canonical-digest cache, the robust
 execution pool and the metrics registry; the asyncio daemon
 (:mod:`repro.serve.daemon`) is a thin front-end that decodes bytes and
-feeds request batches here.
+hands each request here the moment it arrives.
 
-Batch lifecycle
----------------
+Request lifecycle
+-----------------
 
-1. **decode** every wire document (:class:`~repro.serve.protocol
-   .ScheduleRequest`); malformed ones become structured error responses
-   without touching the rest of the batch;
-2. **canonicalize** each request to its isomorphism-safe digest
+Arrival half (:meth:`ScheduleService.submit`), run as soon as a request is
+queued:
+
+1. **decode** the wire document (:class:`~repro.serve.protocol
+   .ScheduleRequest`); a malformed one becomes a structured error
+   response;
+2. **canonicalize** it to its isomorphism-safe digest
    (:func:`~repro.serve.canonical.canonical_form`);
 3. **cache lookup** — a hit translates the stored canonical schedule
-   through the request's own labeling (no scheduler run, no simulation);
-   duplicate digests *within* one batch collapse onto a single compute
-   and the duplicates count as hits;
-4. **compute misses** through the :class:`~repro.robust.ExecutionPool`
-   (long-lived workers, one request each, when ``jobs > 1``) and insert
-   the canonical form of each fresh result;
-5. **respond** in input order.
+   through the request's own labeling (no scheduler run, no simulation)
+   and is answered at once.  A miss whose digest is already being computed
+   joins that computation (**single-flight**) and counts as a hit; any
+   other miss starts a flight: it goes to the
+   :class:`~repro.robust.ExecutionPool`, onto the first free worker.
+
+Completion half, run from :meth:`~repro.robust.ExecutionPool.poll` when
+the flight's worker returns:
+
+4. **respond** — the leading request gets the worker's raw result, every
+   request that joined gets it through the canonical translation, and a
+   fresh primary-path result enters the cache.
+
+:meth:`ScheduleService.handle_batch` is "submit all, then poll until each
+is answered", for explicit batches and direct use.
 
 Overload safety (the robustness layer threaded through the lifecycle):
 
 - a request whose ``deadline_ms`` budget has expired is answered
-  ``deadline_exceeded`` *before* it reaches the pool — during batch
-  assembly for requests that waited out their budget in the queue, and
-  again at dispatch time for budgets that died during decode; cache hits
-  are still served (they are nearly free).  The tightest remaining budget
-  in a batch also caps the pool's stall timeout, and each dispatched
-  document's ``deadline_ms`` is rewritten to its remaining budget so the
+  ``deadline_exceeded`` *before* it reaches a worker — at arrival when it
+  died in the daemon's queue, and again when a worker frees for it, for a
+  budget that died while it waited; cache hits are still served (they are
+  nearly free).  A flight's remaining budget caps its own stall timeout,
+  and its document's ``deadline_ms`` is rewritten to that budget so the
   worker guard receives it;
 - each scheduler class has a :class:`~repro.serve.admission.CircuitBreaker`
-  (K consecutive compute failures open it; while open, cache misses for
-  that class short-circuit with ``breaker_open`` instead of burning pool
-  capacity; a half-open probe after the cooldown closes or re-opens it);
+  (K consecutive compute failures open it; while open, a flight for that
+  class is answered ``breaker_open`` instead of burning pool capacity; a
+  half-open probe after the cooldown closes or re-opens it);
 - a worker answer that degraded to the guard's verified fallback is
-  served with a ``degraded`` diagnostic and **never cached** — the cache
-  holds only primary-path schedules.
+  served with a ``degraded`` diagnostic — to the leader and to every
+  request that joined it — and **never cached**: the cache holds only
+  primary-path schedules;
+- with an attached :class:`~repro.serve.admission.AdmissionController`, a
+  miss counts as queued until it reaches a worker, so the queue bound
+  keeps bounding admitted work that has not started.
 
 
 Bit-identity contract: a miss is answered with the worker's raw result —
@@ -48,11 +62,13 @@ reproduces that result through the canonical translation (the scheduler
 tie-breaks by program index, never by name; pinned in
 ``tests/serve/test_canonical.py``).
 
-Telemetry: every batch runs under a ``serve.batch`` span (spooled to
-``spool_dir`` when set, so ``repro metrics`` / ``repro top`` work on a live
-daemon's spool directory), each request gets a child ``serve.request``
-span, and the registry carries ``serve.requests`` / ``serve.errors``
-counters plus per-request-class latency histograms
+Telemetry: every arrival runs under a ``serve.batch`` span and every
+completion merges its worker's spooled telemetry; with ``spool_dir`` each
+is one spooled cell, on disk before any reply it covers is sent (so
+``repro metrics`` / ``repro top`` work on a live daemon's spool
+directory).  Each answered request gets a ``serve.request`` span, and the
+registry carries ``serve.requests`` / ``serve.errors`` counters plus
+per-request-class latency histograms
 (``serve.request.<scheduler>.duration_s``).
 """
 
@@ -61,13 +77,17 @@ from __future__ import annotations
 import os
 import time
 import uuid
+from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
+from typing import Callable
 
 from ..core.schedule import schedule_digest
 from ..obs import recorder as obs
 from ..obs.metrics import MetricsRegistry
-from ..obs.pipeline import SPAN_DURATION_BUCKETS, TraceContext, spooled_cell
+from ..obs.pipeline import (
+    SPAN_DURATION_BUCKETS, SpoolMerge, TraceContext, spooled_cell,
+)
 from ..obs.recorder import SpanRecord
 from ..obs.runreport import RunReport, collect_provenance
 from ..obs.timeseries import SLOTracker, burn_rate_gauges
@@ -94,8 +114,8 @@ from .worker import compute_request
 #: class is currently unhealthy the way timeouts/crashes do.
 BREAKER_FAILURE_REASONS = ("timeout", "deadlock", "exception")
 
-#: Floor on the pool stall timeout derived from request deadlines: a
-#: pool.run() with a microscopic timeout would declare every worker hung.
+#: Floor on an item's stall timeout derived from its request's deadline: a
+#: microscopic timeout would declare a healthy worker hung.
 MIN_POOL_TIMEOUT_S = 0.05
 
 
@@ -152,9 +172,9 @@ class ScheduleService:
         self.cache = ScheduleCache(
             capacity=cache_size, path=cache_path, registry=self.registry
         )
-        # The pool spools worker telemetry into its own subdirectory: each
-        # batch's run() clears its telemetry dir first, which must never
-        # delete the daemon's own per-batch spool files one level up.
+        # The pool spools worker telemetry into its own subdirectory: it
+        # clears that directory whenever it goes idle, which must never
+        # delete the daemon's own spool files one level up.
         pool_spool = Path(spool_dir) / "pool" if spool_dir is not None else None
         self.pool = ExecutionPool(
             partial(
@@ -190,10 +210,19 @@ class ScheduleService:
         #: None when the service is driven directly (tests, CLI).
         self.admission = None
         self.started_monotonic = time.monotonic()
+        #: Misses being computed, by digest: the request whose document
+        #: the worker runs first, then every request that joined it.
+        self._flights: dict[str, list[dict]] = {}
+        #: Answers made inside the current telemetry scope, sent when the
+        #: outermost scope closes.
+        self._outbox: list[tuple[Callable[[dict], None], dict]] = []
+        self._scopes = 0
 
     def close(self) -> None:
-        """Stop the pool's workers; a later batch starts new ones."""
+        """Stop the pool's workers and forget unanswered flights; a later
+        request starts new workers."""
         self.pool.close()
+        self._flights.clear()
 
     # -- public entry points -------------------------------------------------
 
@@ -214,265 +243,307 @@ class ScheduleService:
         transports: list[str] | None = None,
         deadlines: list | None = None,
     ) -> list[dict]:
-        """Answer a batch of wire documents, responses in input order.
+        """Answer a batch of wire documents, responses in input order:
+        submit them all, then poll the pool until each is answered.
 
         ``transports`` (parallel to ``docs``) tags each request with the
         transport it arrived on for per-transport stats and access logs.
         ``deadlines`` (parallel to ``docs``) is each request's **remaining**
-        budget in seconds as measured by the daemon at dequeue time (queue
-        wait already subtracted); ``None`` entries fall back to the
-        document's own ``deadline_ms``.
-
-        Runs synchronously in the calling thread; the daemon serializes
-        batches through a single executor thread because the obs recorder
-        is process-global.
+        budget in seconds; ``None`` entries fall back to the document's own
+        ``deadline_ms``.  The requests were not admitted by a daemon, so
+        they never count against its queue.
         """
-        self.batches += 1
-        if self.spool_dir is not None:
-            cell = spooled_cell(
-                self.spool_dir,
-                self.context.child(f"batch-{self.batches}"),
-                cell=self.batches,
-                sim_events=False,
-            )
-            with cell:
-                return self._handle_batch(docs, transports, deadlines)
-        return self._handle_batch(docs, transports, deadlines)
-
-    # -- internals -----------------------------------------------------------
-
-    def _handle_batch(
-        self,
-        docs: list,
-        transports: list[str] | None = None,
-        deadlines: list | None = None,
-    ) -> list[dict]:
-        t_batch = time.perf_counter()
         responses: list[dict | None] = [None] * len(docs)
-        slots: list[dict] = []  # decoded, not yet answered
-        with obs.span("serve.batch", size=len(docs), batch=self.batches) as sp:
-            # 1/2: decode + canonicalize
-            for i, doc in enumerate(docs):
-                self.requests += 1
-                transport = (
-                    transports[i]
-                    if transports is not None and i < len(transports)
-                    else "unknown"
-                )
-                self.transports[transport] = self.transports.get(transport, 0) + 1
-                self.registry.counter("serve.requests").inc()
-                self.registry.counter(f"serve.requests.{transport}").inc()
-                t0 = time.perf_counter_ns()
-                remaining_s = (
-                    deadlines[i]
-                    if deadlines is not None and i < len(deadlines)
-                    else None
-                )
-                if remaining_s is None:
-                    remaining_s = deadline_s_from_doc(doc)
-                if remaining_s is not None and remaining_s <= 0.0:
-                    # The budget died in the queue: drop before spending
-                    # decode/canonicalize/compute on an answer nobody is
-                    # waiting for.
-                    responses[i] = self._error(
-                        doc,
-                        "deadline expired before dispatch",
-                        transport=transport,
-                        started_ns=t0,
-                        code="deadline_exceeded",
-                    )
-                    continue
-                try:
-                    request = ScheduleRequest.from_dict(doc)
-                except ProtocolError as exc:
-                    responses[i] = self._error(
-                        doc,
-                        str(exc),
-                        transport=transport,
-                        started_ns=t0,
-                        code="bad_request",
-                        phases=[("decode", t0, time.perf_counter_ns() - t0)],
-                    )
-                    continue
-                t1 = time.perf_counter_ns()
-                if request.trace_id is None:
-                    # The daemon mints an id for untraced requests so every
-                    # retained trace is addressable via /debug/traces.
-                    request.trace_id = uuid.uuid4().hex[:16]
-                form = canonical_form(
-                    request.trace, request.machine, request.scheduler
-                )
-                t2 = time.perf_counter_ns()
-                slots.append(
-                    {
-                        "index": i,
-                        "request": request,
-                        "form": form,
-                        "started_ns": t0,
-                        "transport": transport,
-                        # Absolute expiry on the perf_counter_ns clock; None
-                        # when the request carries no deadline.
-                        "deadline_ns": (
-                            None
-                            if remaining_s is None
-                            else t0 + int(remaining_s * 1e9)
-                        ),
-                        "phases": [
-                            ("decode", t0, t1 - t0),
-                            ("canonicalize", t1, t2 - t1),
-                        ],
-                    }
-                )
-            if sp is not None:
-                # The batch span links its member requests' trace ids.
-                sp.attrs["trace_ids"] = [
-                    s["request"].trace_id for s in slots
-                ]
+        self._arrive(
+            docs,
+            transports or [],
+            deadlines or [],
+            [partial(responses.__setitem__, i) for i in range(len(docs))],
+            queued=False,
+        )
+        while any(r is None for r in responses):
+            self.pool.poll()
+        return responses
 
-            # 3: cache lookup with within-batch dedupe
-            pending: dict[str, list[dict]] = {}
-            for slot in slots:
-                form = slot["form"]
-                t_probe = time.perf_counter_ns()
-                waiting = pending.get(form.digest)
-                if waiting is not None:
-                    # Another request in this batch is already computing
-                    # this digest: served without a scheduler run == a hit.
-                    self.cache.note_hit()
-                    slot["cached"] = True
-                    slot["phases"].append(
-                        ("cache_probe", t_probe, time.perf_counter_ns() - t_probe)
+    def submit(
+        self,
+        doc: dict,
+        transport: str,
+        deadline_s: float | None,
+        reply: Callable[[dict], None],
+    ) -> None:
+        """Arrival half of one admitted request, a batch of its own:
+        decode, canonicalize and probe the cache now.  A hit or an error is
+        answered at once; a miss joins the flight already computing its
+        digest or starts one, and is answered from the pool's
+        :meth:`~repro.robust.ExecutionPool.poll` when the worker returns.
+
+        ``deadline_s`` is the budget left when the daemon dequeued the
+        request (``None``: the document's own ``deadline_ms``).
+        ``reply(response)`` runs exactly once, in the calling thread, after
+        the telemetry that covers the answer is spooled.  Only one thread
+        may submit and poll: the obs recorder is process-global.
+        """
+        self._arrive([doc], [transport], [deadline_s], [reply], queued=True)
+
+    # -- arrival half --------------------------------------------------------
+
+    def _arrive(self, docs, transports, deadlines, replies, queued) -> None:
+        self.batches += 1
+        batch = self.batches
+        with self._scope(batch):
+            with obs.span("serve.batch", size=len(docs), batch=batch) as sp:
+                slots = []
+                for i, doc in enumerate(docs):
+                    slot = self._decode(
+                        doc,
+                        transports[i] if i < len(transports) else "unknown",
+                        deadlines[i] if i < len(deadlines) else None,
+                        replies[i],
+                        batch,
+                        queued,
                     )
-                    waiting.append(slot)
-                    continue
-                entry = self.cache.get(form.digest)
-                slot["phases"].append(
-                    ("cache_probe", t_probe, time.perf_counter_ns() - t_probe)
-                )
-                if entry is not None:
-                    # Hits are served even past their deadline: answering
-                    # from cache is cheaper than synthesizing the error.
-                    responses[slot["index"]] = self._ok(
-                        slot, result_from_entry(form, entry), cached=True
-                    )
-                    continue
-                deadline_ns = slot["deadline_ns"]
-                if (
-                    deadline_ns is not None
-                    and time.perf_counter_ns() >= deadline_ns
-                ):
-                    # Budget died during decode/canonicalize: still before
+                    if slot is not None:
+                        slots.append(slot)
+                if sp is not None:
+                    # The batch span links its member requests' trace ids.
+                    sp.attrs["trace_ids"] = [
+                        s["request"].trace_id for s in slots
+                    ]
+                for slot in slots:
+                    self._probe(slot)
+
+    def _decode(self, doc, transport, remaining_s, reply, batch, queued):
+        """Steps 1 and 2: the request's slot, or None once it has been
+        answered with an error."""
+        self.requests += 1
+        self.transports[transport] = self.transports.get(transport, 0) + 1
+        self.registry.counter("serve.requests").inc()
+        self.registry.counter(f"serve.requests.{transport}").inc()
+        t0 = time.perf_counter_ns()
+        slot = {
+            "doc": doc,
+            "started_ns": t0,
+            "phases": [],
+            "transport": transport,
+            "reply": reply,
+            "batch": batch,
+            "queued": queued,
+        }
+        if remaining_s is None:
+            remaining_s = deadline_s_from_doc(doc)
+        if remaining_s is not None and remaining_s <= 0.0:
+            # The budget died in the queue: drop before spending
+            # decode/canonicalize/compute on an answer nobody is waiting
+            # for.
+            self._error(
+                slot, "deadline expired before dispatch",
+                code="deadline_exceeded",
+            )
+            return None
+        try:
+            request = ScheduleRequest.from_dict(doc)
+        except ProtocolError as exc:
+            slot["phases"].append(("decode", t0, time.perf_counter_ns() - t0))
+            self._error(slot, str(exc), code="bad_request")
+            return None
+        t1 = time.perf_counter_ns()
+        if request.trace_id is None:
+            # The daemon mints an id for untraced requests so every
+            # retained trace is addressable via /debug/traces.
+            request.trace_id = uuid.uuid4().hex[:16]
+        form = canonical_form(request.trace, request.machine, request.scheduler)
+        t2 = time.perf_counter_ns()
+        slot["request"] = request
+        slot["form"] = form
+        # Absolute expiry on the perf_counter_ns clock; None when the
+        # request carries no deadline.
+        slot["deadline_ns"] = (
+            None if remaining_s is None else t0 + int(remaining_s * 1e9)
+        )
+        slot["phases"] += [("decode", t0, t1 - t0), ("canonicalize", t1, t2 - t1)]
+        return slot
+
+    def _probe(self, slot: dict) -> None:
+        """Step 3: answer a hit, join a flight, or start one."""
+        digest = slot["form"].digest
+        t_probe = time.perf_counter_ns()
+        flight = self._flights.get(digest)
+        if flight is not None:
+            # Single-flight: this digest is already being computed, so the
+            # request waits for that answer without a scheduler run of its
+            # own — a hit.
+            self.cache.note_hit()
+            entry = None
+        else:
+            entry = self.cache.get(digest)
+        now = time.perf_counter_ns()
+        slot["phases"].append(("cache_probe", t_probe, now - t_probe))
+        if entry is not None:
+            # Hits are served even past their deadline: answering from
+            # cache is cheaper than synthesizing the error.
+            self._ok(slot, result_from_entry(slot["form"], entry), cached=True)
+            return
+        slot["waiting_ns"] = now
+        if flight is not None:
+            slot["cached"] = True
+            flight.append(slot)
+            self._dequeue(slot)  # it will never occupy a worker
+            return
+        slot["cached"] = False
+        self._flights[digest] = [slot]
+        # The document is built when a worker frees for it (_launch).
+        self.pool.submit(
+            (),
+            on_done=partial(self._land, digest),
+            on_start=partial(self._launch, digest),
+        )
+
+    def _launch(self, digest: str, job) -> bool:
+        """A worker is free for this flight: the last moment to answer a
+        leader whose budget died (the next request in the flight leads
+        instead) or the whole flight while its breaker is open.  Sets the
+        worker's document, its ``deadline_ms`` rewritten to the budget left
+        now, and caps the item's stall timeout by that budget."""
+        flight = self._flights[digest]
+        now = time.perf_counter_ns()
+        expired = []
+        while flight and flight[0]["deadline_ns"] is not None and (
+            now >= flight[0]["deadline_ns"]
+        ):
+            expired.append(flight.pop(0))
+        breaker = self.breakers.get(flight[0]["request"].scheduler) if flight else None
+        refused = breaker is not None and not breaker.allow()
+        if expired or refused:
+            with self._scope((expired or flight)[0]["batch"]):
+                for slot in expired:
+                    # Budget died while waiting for a worker: still before
                     # dispatch, so no pool capacity is spent on it.
-                    responses[slot["index"]] = self._error(
-                        slot["request"],
-                        "deadline expired before dispatch",
-                        decoded=True,
-                        slot=slot,
+                    self._error(
+                        slot, "deadline expired before dispatch",
                         code="deadline_exceeded",
                     )
-                    continue
-                breaker = self.breakers.get(slot["request"].scheduler)
-                if not breaker.allow():
-                    responses[slot["index"]] = self._error(
-                        slot["request"],
+                for slot in flight if refused else ():
+                    self._error(
+                        slot,
                         f"circuit breaker open for scheduler "
                         f"{slot['request'].scheduler!r}",
-                        decoded=True,
-                        slot=slot,
                         code="breaker_open",
                         retry_after_s=breaker.retry_after_s() or None,
                     )
-                    continue
-                slot["cached"] = False
-                pending[form.digest] = [slot]
+        if refused or not flight:
+            del self._flights[digest]
+            return False
+        leader = flight[0]
+        self._dequeue(leader)
+        item = leader["request"].to_dict()
+        timeout_s = self.pool.config.timeout_s
+        if leader["deadline_ns"] is not None:
+            left_s = max((leader["deadline_ns"] - now) / 1e9, 1e-6)
+            item["deadline_ms"] = left_s * 1e3
+            # Nobody waits on a compute whose requester has given up
+            # (floored so a near-dead budget doesn't declare the worker
+            # hung at once).
+            cap = max(left_s, MIN_POOL_TIMEOUT_S)
+            timeout_s = cap if timeout_s is None else min(timeout_s, cap)
+        job.args = (item, faults.active_plan())
+        job.timeout_s = timeout_s
+        return True
 
-            # 4: compute misses through the robust pool
-            if pending:
-                order = list(pending.values())
-                t_dispatch = time.perf_counter_ns()
-                plan = faults.active_plan()
-                items = []
-                budgets_s = []
-                for group in order:
-                    item = group[0]["request"].to_dict()
-                    deadline_ns = group[0]["deadline_ns"]
-                    if deadline_ns is not None:
-                        # Rewrite the wire deadline to the budget actually
-                        # left at dispatch, so the worker guard receives a
-                        # deadline that accounts for queueing and decode.
-                        left_s = max(
-                            (deadline_ns - t_dispatch) / 1e9, 1e-6
+    # -- completion half -----------------------------------------------------
+
+    def _land(self, digest: str, job) -> None:
+        """Step 4: the flight's worker returned (or every attempt
+        failed)."""
+        flight = self._flights.pop(digest)
+        with self._scope(flight[0]["batch"]):
+            try:
+                self._respond(flight, job)
+            except Exception as exc:  # defensive: never strand a request
+                for slot in flight:
+                    if "answered" not in slot:
+                        self._error(
+                            slot, f"internal error: {exc}", code="internal"
                         )
-                        item["deadline_ms"] = left_s * 1e3
-                        budgets_s.append(left_s)
-                    items.append((item, plan))
-                # The tightest remaining deadline caps the pool's stall
-                # timeout — nobody waits on a compute whose requester has
-                # already given up (floored so a near-dead budget doesn't
-                # declare every worker hung).
-                run_timeout_s = self.pool.config.timeout_s
-                if budgets_s:
-                    tightest = max(min(budgets_s), MIN_POOL_TIMEOUT_S)
-                    run_timeout_s = (
-                        tightest
-                        if run_timeout_s is None
-                        else min(run_timeout_s, tightest)
-                    )
-                with obs.span("serve.compute", misses=len(order)):
-                    outcome = self.pool.run(items, timeout_s=run_timeout_s)
-                dispatch_ns = time.perf_counter_ns() - t_dispatch
-                for group, result in zip(order, outcome.results):
-                    for slot in group:
-                        slot["phases"].append(
-                            ("dispatch", t_dispatch, dispatch_ns)
-                        )
-                    first = group[0]
-                    breaker = self.breakers.get(first["request"].scheduler)
-                    if not isinstance(result, dict):  # a SweepFailure
-                        breaker.record_failure()
-                        for slot in group:
-                            responses[slot["index"]] = self._error(
-                                slot["request"],
-                                f"scheduling failed: {result}",
-                                decoded=True,
-                                slot=slot,
-                                code="scheduling_failed",
-                            )
-                        continue
-                    degraded = result.get("degraded")
-                    if (
-                        degraded is not None
-                        and degraded.get("reason") in BREAKER_FAILURE_REASONS
-                    ):
-                        breaker.record_failure()
-                    else:
-                        breaker.record_success()
-                    if degraded is None:
-                        # Only primary-path schedules enter the cache: a
-                        # degraded answer is legal but not the answer this
-                        # digest deserves, and must not outlive the fault.
-                        self.cache.put(
-                            first["form"].digest,
-                            entry_from_result(first["form"], result),
-                        )
-                    # The computing request gets the worker's raw answer —
-                    # bit-identical to an uncached direct call.
-                    responses[first["index"]] = self._ok(
-                        first, result, cached=False, degraded=degraded
-                    )
-                    if len(group) > 1:
-                        entry = entry_from_result(first["form"], result)
-                        for slot in group[1:]:
-                            responses[slot["index"]] = self._ok(
-                                slot,
-                                result_from_entry(slot["form"], entry),
-                                cached=True,
-                                degraded=degraded,
-                            )
-        self.registry.histogram(
-            "serve.batch.duration_s", SPAN_DURATION_BUCKETS
-        ).observe(time.perf_counter() - t_batch)
-        return [r for r in responses]  # all filled by construction
+
+    def _respond(self, flight: list[dict], job) -> None:
+        recorder = obs.get_recorder()
+        if recorder is not None and job.telemetry:
+            SpoolMerge(job.telemetry).merge_into(recorder)
+        end = time.perf_counter_ns()
+        for slot in flight:
+            slot["phases"].append(
+                ("dispatch", slot["waiting_ns"], end - slot["waiting_ns"])
+            )
+        leader = flight[0]
+        result = job.result
+        breaker = self.breakers.get(leader["request"].scheduler)
+        if not isinstance(result, dict):  # a SweepFailure
+            breaker.record_failure()
+            for slot in flight:
+                self._error(
+                    slot, f"scheduling failed: {result}",
+                    code="scheduling_failed",
+                )
+            return
+        degraded = result.get("degraded")
+        if degraded is not None and degraded.get("reason") in BREAKER_FAILURE_REASONS:
+            breaker.record_failure()
+        else:
+            breaker.record_success()
+        entry = entry_from_result(leader["form"], result)
+        if degraded is None:
+            # Only primary-path schedules enter the cache: a degraded
+            # answer is legal but not the answer this digest deserves, and
+            # must not outlive the fault.
+            self.cache.put(leader["form"].digest, entry)
+        # The leader gets the worker's raw answer — bit-identical to an
+        # uncached direct call.
+        self._ok(leader, result, cached=False, degraded=degraded)
+        for slot in flight[1:]:
+            self._ok(
+                slot,
+                result_from_entry(slot["form"], entry),
+                cached=True,
+                degraded=degraded,
+            )
+
+    # -- answers -------------------------------------------------------------
+
+    @contextmanager
+    def _scope(self, cell: int):
+        """Run under the service's spooled telemetry cell, then send every
+        answer made inside: a reply never leaves before the spool line that
+        covers it is on disk.  Nested scopes share the outermost one."""
+        outer = self._scopes == 0
+        self._scopes += 1
+        try:
+            if outer and self.spool_dir is not None:
+                with spooled_cell(
+                    self.spool_dir,
+                    self.context.child(f"batch-{cell}"),
+                    cell=cell,
+                    sim_events=False,
+                ):
+                    yield
+            else:
+                yield
+        finally:
+            self._scopes -= 1
+        if outer:
+            outbox, self._outbox = self._outbox, []
+            for reply, response in outbox:
+                reply(response)
+
+    def _dequeue(self, slot: dict) -> None:
+        """The request left the daemon's queue: answered, or on a worker."""
+        if slot.pop("queued", False) and self.admission is not None:
+            self.admission.note_dequeued()
+
+    def _answer(self, slot: dict, response: dict) -> None:
+        self._dequeue(slot)
+        slot["answered"] = True
+        self._outbox.append((slot["reply"], response))
 
     def _span_tree(
         self,
@@ -505,7 +576,7 @@ class ScheduleService:
                     "cached": cached,
                     "status": status,
                     "transport": slot.get("transport", "unknown"),
-                    "batch": self.batches,
+                    "batch": slot["batch"],
                 },
                 pid=pid,
                 trace_id=trace_id,
@@ -602,7 +673,7 @@ class ScheduleService:
                 degraded=degraded_reason,
                 start_ns=slot["started_ns"],
                 duration_ns=end_ns - slot["started_ns"],
-                batch=self.batches,
+                batch=slot["batch"],
                 transport=slot.get("transport", "unknown"),
                 worker_pid=worker.get("pid") if worker else None,
                 spans=self._span_tree(
@@ -619,7 +690,7 @@ class ScheduleService:
         result: dict,
         cached: bool,
         degraded: dict | None = None,
-    ) -> dict:
+    ) -> None:
         request: ScheduleRequest = slot["request"]
         worker = result.get("worker")
         reason = degraded.get("reason", "unknown") if degraded else None
@@ -648,7 +719,7 @@ class ScheduleService:
             trace_id=trace_id,
         ):
             pass
-        return ok_response(
+        self._answer(slot, ok_response(
             request.id,
             slot["form"].digest,
             cached,
@@ -656,20 +727,15 @@ class ScheduleService:
             trace_id=trace_id,
             server=server,
             degraded=degraded,
-        )
+        ))
 
     def _error(
         self,
-        doc_or_request,
+        slot: dict,
         message: str,
-        decoded: bool = False,
-        slot: dict | None = None,
-        transport: str = "unknown",
-        started_ns: int | None = None,
-        phases: list | None = None,
         code: str | None = None,
         retry_after_s: float | None = None,
-    ) -> dict:
+    ) -> None:
         self.errors += 1
         self.registry.counter("serve.errors").inc()
         obs.count("serve.error")
@@ -678,44 +744,32 @@ class ScheduleService:
             if code == "deadline_exceeded":
                 self.deadline_exceeded += 1
                 self.registry.counter("serve.deadline_exceeded").inc()
-        if decoded:
-            request_id = doc_or_request.id
+        request = slot.get("request")
+        if request is not None:
+            request_id = request.id
         else:
-            request_id = (
-                doc_or_request.get("id") if isinstance(doc_or_request, dict) else None
-            )
-        if slot is None:
-            # Decode-stage failure: build a minimal slot, recovering the
-            # caller's trace id from the raw document when it is valid.
-            trace_id = None
-            if isinstance(doc_or_request, dict):
+            # Decode-stage failure: recover the caller's id, and its trace
+            # id when that is valid, from the raw document.
+            doc = slot["doc"]
+            request_id = doc.get("id") if isinstance(doc, dict) else None
+            slot["id"] = request_id
+            if isinstance(doc, dict):
                 try:
-                    wire = trace_from_wire(doc_or_request.get("trace"))
-                    trace_id = wire[0] if wire else None
+                    wire = trace_from_wire(doc.get("trace"))
+                    slot["trace_id"] = wire[0] if wire else None
                 except ProtocolError:
                     pass
-            slot = {
-                "started_ns": (
-                    started_ns
-                    if started_ns is not None
-                    else time.perf_counter_ns()
-                ),
-                "phases": phases or [],
-                "transport": transport,
-                "trace_id": trace_id,
-                "id": request_id,
-            }
         trace_id, server, _ = self._finish(
             slot, status="error", cached=False, worker=None, error=message
         )
-        return error_response(
+        self._answer(slot, error_response(
             request_id,
             message,
             trace_id=trace_id,
             server=server,
             code=code,
             retry_after_s=retry_after_s,
-        )
+        ))
 
     # -- introspection -------------------------------------------------------
 

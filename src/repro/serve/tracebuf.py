@@ -25,7 +25,7 @@ with the request's trace id — and exports through the existing JSONL
 schema (:mod:`repro.obs.export`), so ``repro trace`` renders a retained
 request as a waterfall and ``write_chrome_trace`` ships it to Perfetto.
 
-Thread-safety: ``add`` runs on the daemon's batch-executor thread while
+Thread-safety: ``add`` runs on the daemon's dispatcher thread while
 ``snapshot`` runs on the asyncio thread answering ``/debug/traces``; a
 single lock covers both.
 """
@@ -192,7 +192,7 @@ class TraceBuffer:
         self._lock = threading.Lock()
         self.added = 0
 
-    # -- writing (batch-executor thread) --------------------------------------
+    # -- writing (dispatcher thread) -------------------------------------------
 
     def add(self, trace: RequestTrace) -> None:
         with self._lock:

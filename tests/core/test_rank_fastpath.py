@@ -135,6 +135,25 @@ class TestEngineOracle:
             with pytest.raises(ValueError, match="lacks a functional unit"):
                 run()
 
+    def test_single_unit_that_cannot_run_a_class_raises(self):
+        """A single unit is every class's pool, so the closed-form backward
+        schedule would rank nodes that unit cannot run (rank(a) = 3 here);
+        it rejects the machine with list_schedule's error instead."""
+        graph = DependenceGraph()
+        for name in "abc":
+            graph.add_node(name, fu_class=FLOAT)
+        graph.add_edge("a", "b", 0)
+        graph.add_edge("a", "c", 0)
+        machine = MachineModel(fu_counts={FIXED: 1})
+        deadlines = dict.fromkeys("abc", 5)
+        for run in (
+            lambda: compute_ranks(graph, deadlines, machine),
+            lambda: RankEngine(graph, deadlines, machine),
+            lambda: list_schedule(graph, ["a", "b", "c"], machine),
+        ):
+            with pytest.raises(ValueError, match="lacks a functional unit"):
+                run()
+
     def test_unknown_node_raises(self):
         graph = random_dag(5, seed=0)
         engine = RankEngine(graph, None, single_unit_machine())

@@ -53,6 +53,26 @@ class TestStallTimeout:
         assert after_pid not in (first_pid, os.getpid())
 
 
+class TestContinuousDispatch:
+    def test_hung_item_times_out_while_siblings_keep_completing(self):
+        """The stall timeout is per item: a hung item is killed once it
+        has run for its timeout, although the other worker never stops
+        completing items."""
+        finished = []
+        config = PoolConfig(jobs=2, timeout_s=0.5, retries=0)
+        started = time.perf_counter()
+        with ExecutionPool(hang_on_two, config) as pool:
+            hung = pool.submit(2, finished.append)
+            while hung not in finished:
+                quick = pool.submit(0, finished.append)
+                while quick not in finished:
+                    pool.poll()
+                assert time.perf_counter() - started < 30
+        assert isinstance(hung.result, SweepFailure)
+        assert hung.result.error_type == "Timeout"
+        assert len(finished) > 2 and pool.pool_restarts == 1
+
+
 class TestClose:
     def test_close_reaps_workers_and_run_starts_new_ones(self):
         pool = ExecutionPool(worker_pid, PoolConfig(jobs=2, timeout_s=30))

@@ -28,7 +28,6 @@ def server(tmp_path):
         service,
         socket_path=tmp_path / "serve.sock",
         port=0,
-        batch_window_s=0.001,
     )
     with ServerHandle(srv):
         yield srv
@@ -266,7 +265,6 @@ class TestAccessLog:
             service,
             socket_path=tmp_path / "serve.sock",
             port=0,
-            batch_window_s=0.001,
             access_log=log,
         )
         with ServerHandle(srv):

@@ -33,7 +33,6 @@ def _make_server(tmp_path, **kwargs):
         service,
         socket_path=tmp_path / "serve.sock",
         port=0,
-        batch_window_s=0.001,
         **kwargs,
     )
 
@@ -314,7 +313,6 @@ class TestDegradedRing:
             service,
             socket_path=tmp_path / "serve.sock",
             port=0,
-            batch_window_s=0.001,
         )
         with ServerHandle(srv):
             with ScheduleClient(srv.socket_path) as client:

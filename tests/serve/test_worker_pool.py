@@ -66,7 +66,6 @@ class TestInheritedSockets:
         srv = ScheduleServer(
             service,
             socket_path=tmp_path / "serve.sock",
-            batch_window_s=0.001,
             max_line=4096,
         )
         with ServerHandle(srv):

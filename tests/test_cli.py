@@ -151,6 +151,25 @@ class TestRanks:
         err = capsys.readouterr().err
         assert "unknown nodes" in err and "nope" in err
 
+    def test_machine_without_a_unit_for_a_class_is_an_error(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro import cli
+        from repro.machine.model import MachineModel
+
+        monkeypatch.setitem(
+            cli.MACHINES, "paper", MachineModel(fu_counts={"fixed": 1})
+        )
+        prog = tmp_path / "float.s"
+        prog.write_text(
+            "block top\n"
+            "  a op=fadd fu=float defs=r1\n"
+            "  b op=fadd fu=float uses=r1 defs=r2\n"
+            "  c op=fadd fu=float uses=r1 defs=r3\n"
+        )
+        assert main(["ranks", str(prog), "--deadline", "5"]) == 2
+        assert "lacks a functional unit" in capsys.readouterr().err
+
     def test_malformed_deadline_entry_is_an_error(self, prog, capsys):
         assert main(["ranks", prog, "--deadlines", "d"]) == 2
         assert "malformed" in capsys.readouterr().err
@@ -467,7 +486,7 @@ class TestTop:
 
         service = ScheduleService()
         srv = ScheduleServer(
-            service, socket_path=tmp_path / "s.sock", batch_window_s=0.001
+            service, socket_path=tmp_path / "s.sock"
         )
         with ServerHandle(srv):
             doc = ScheduleRequest(
