@@ -34,8 +34,6 @@ from bisect import insort
 from heapq import heappop, heappush
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from ..ir.depgraph import DependenceGraph
 from ..machine.model import MachineModel, single_unit_machine
 from ..obs import recorder as obs
@@ -84,33 +82,19 @@ def fill_deadlines(
 class _BackwardSlots:
     """Latest-fit slot allocator for the backward schedule.
 
-    Tracks occupied completion-time slots per functional-unit class with the
-    class capacity from the machine model.  ``ANY`` draws from the total
-    capacity pool; typed classes from their own pool (a heuristic in the
-    multi-unit case, exact for a single unit).
-
-    The dominant case — capacity 1, unit execution time — uses a
-    path-compressed "next free slot" union-find, making each placement
-    near-O(1); larger pools use a linear latest-fit scan.
+    Tracks occupied completion-time slots per unit pool
+    (:meth:`MachineModel.pool`: one pool on a single-unit machine, else one
+    per class, a heuristic in the multi-unit case) up to the pool's
+    capacity, and scans down from the bound for the latest window of free
+    slots.  :func:`_node_rank` places unit-time graphs in closed form; this
+    allocator serves graphs with a multi-cycle node and
+    :func:`repro.core.general.compute_ranks_split`, and is the reference
+    the closed form is tested against.
     """
 
     def __init__(self, machine: MachineModel) -> None:
         self._machine = machine
         self._used: dict[str, dict[int, int]] = {}
-        #: Per-class map slot -> latest free slot at or below it (union-find
-        #: parents), maintained only for capacity-1 pools.
-        self._next_free: dict[str, dict[int, int]] = {}
-
-    def _find_free(self, parent: dict[int, int], slot: int) -> int:
-        """Latest free slot ≤ ``slot`` with path compression."""
-        root = slot
-        while root in parent:
-            root = parent[root]
-        while slot in parent:
-            nxt = parent[slot]
-            parent[slot] = root
-            slot = nxt
-        return root
 
     def place(self, fu_class: str, exec_time: int, latest: int) -> int:
         """Occupy ``exec_time`` consecutive slots completing no later than
@@ -118,31 +102,11 @@ class _BackwardSlots:
         instance is infeasible — feasibility is judged later by the forward
         greedy pass).  A class the machine has no unit for raises
         ``ValueError``, as in :func:`list_schedule`."""
-        cap = self._machine.capacity(fu_class)
-        if cap == 1:
-            parent = self._next_free.setdefault(fu_class, {})
-            end = self._find_free(parent, latest)
-            # Multi-cycle: every slot in (end-exec_time, end] must be free;
-            # on a collision restart below the occupied run.
-            while exec_time > 1:
-                t = end - 1
-                lo = end - exec_time + 1
-                clash = None
-                while t >= lo:
-                    ft = self._find_free(parent, t)
-                    if ft != t:
-                        clash = ft
-                        break
-                    t -= 1
-                if clash is None:
-                    break
-                end = clash
-            for t in range(end - exec_time + 1, end + 1):
-                parent[t] = t - 1
-            return end
+        pool = self._machine.pool(fu_class)
+        cap = self._machine.capacity(pool)
         if cap == 0:
             raise ValueError("machine lacks a functional unit for some instruction")
-        used = self._used.setdefault(fu_class, {})
+        used = self._used.setdefault(pool, {})
         end = latest
         # Every slot below the lowest occupied one is free, so the scan ends
         # whatever ``latest`` is.
@@ -155,28 +119,42 @@ class _BackwardSlots:
             end -= 1
 
 
-def _unit_exec_single_fu(graph: DependenceGraph, machine: MachineModel) -> bool:
-    """True when the backward schedule can use the inlined capacity-1
-    unit-execution-time fast path (the paper's core regime).
+#: The closed form's pool table: each node's pool index, and per pool its
+#: capacity minus one.
+_Pools = tuple[dict[str, int], list[int]]
 
-    A single-unit machine's one unit is every class's pool
-    (:meth:`MachineModel.capacity`), so the backward schedule alone would
-    also rank a node that unit cannot run; such a machine raises
-    :func:`list_schedule`'s ``ValueError`` here instead."""
-    if not machine.is_single_unit:
-        return False
-    unit_exec = True
-    runnable = {}
+
+def _unit_pools(graph: DependenceGraph, machine: MachineModel) -> _Pools | None:
+    """The pool table of :func:`_node_rank`'s closed form, or None when some
+    node takes more than one cycle (then :class:`_BackwardSlots` places).
+
+    A single unit is every class's pool (:meth:`MachineModel.pool`), so the
+    backward schedule alone would also rank a node that unit cannot run;
+    a node whose class has no unit raises :func:`list_schedule`'s
+    ``ValueError`` here instead, on every machine."""
+    pool_of: dict[str, int] = {}
+    spare: list[int] = []
+    by_class: dict[str, int] = {}
+    by_pool: dict[str, int] = {}
+    unit_time = True
     for n in graph.nodes:
         cls = graph.fu_class(n)
-        ok = runnable.get(cls)
-        if ok is None:
-            ok = runnable[cls] = bool(machine.units_for(cls))
-        if not ok:
-            raise ValueError("machine lacks a functional unit for some instruction")
+        k = by_class.get(cls)
+        if k is None:
+            if not machine.units_for(cls):
+                raise ValueError(
+                    "machine lacks a functional unit for some instruction"
+                )
+            pool = machine.pool(cls)
+            k = by_pool.get(pool)
+            if k is None:
+                k = by_pool[pool] = len(spare)
+                spare.append(machine.capacity(pool) - 1)
+            by_class[cls] = k
+        pool_of[n] = k
         if graph.exec_time(n) != 1:
-            unit_exec = False
-    return unit_exec
+            unit_time = False
+    return (pool_of, spare) if unit_time else None
 
 
 def _node_rank(
@@ -185,46 +163,57 @@ def _node_rank(
     x: str,
     deadline: int,
     ranks: Mapping[str, int],
-    fast: bool,
+    pools: _Pools | None,
 ) -> int:
     """Rank of ``x`` given its deadline and the (already final) ranks of all
     of its descendants — the single-node step shared by the from-scratch
     :func:`compute_ranks` sweep and :class:`RankEngine`'s incremental
     recomputation, so the two paths are identical by construction.
 
-    ``fast`` selects the closed-form backward schedule, valid exactly for
-    single-unit machines with unit execution times (bit-for-bit the same
-    placements as :class:`_BackwardSlots` with capacity 1): placing nodes in
-    nonincreasing rank order, the latest free completion slot ≤ rank(y) is
-    always ``min(rank(y), previous placement − 1)`` — placements are
-    strictly decreasing, and any gap left above the last placement lies
-    above every remaining rank, so no search structure is needed."""
+    ``pools`` (from :func:`_unit_pools`) selects the closed-form backward
+    schedule, valid whenever every node takes one cycle, on any machine:
+    the same placements as :class:`_BackwardSlots`, each in O(1).  Placing
+    descendants in nonincreasing rank order, keep per pool its lowest
+    occupied slot ``low`` and the room left in it; the latest free slot
+    ≤ rank(y) is rank(y) when rank(y) < ``low``, else ``low`` while it has
+    room, else ``low − 1``.  Every slot below ``low`` is empty, and every
+    slot in (``low``, r] is full, where r is the rank placed last (by
+    induction over the placements); ranks never increase, so that covers
+    (``low``, rank(y)].  On one unit this is ``min(rank(y), low − 1)``."""
     descendants = graph.descendants(x)
     if not descendants:
         return deadline
     rank = deadline
-    if fast:
-        succ = graph.successors(x)
-        comp: int | None = None
-        for y in sorted(descendants, key=ranks.__getitem__, reverse=True):
+    order = sorted(descendants, key=ranks.__getitem__, reverse=True)
+    succ = graph.successors(x)
+    if pools is not None:
+        pool_of, spare = pools
+        lows = [ranks[order[0]] + 1] * len(spare)
+        room = [0] * len(spare)
+        for y in order:
             r_y = ranks[y]
-            comp = r_y if comp is None or r_y < comp - 1 else comp - 1
+            k = pool_of[y]
+            end = lows[k]
+            if r_y < end:
+                end = lows[k] = r_y
+                room[k] = spare[k]
+            elif room[k]:
+                room[k] -= 1
+            else:
+                end = lows[k] = end - 1
+                room[k] = spare[k]
             lat = succ.get(y)
-            if lat is not None:
-                gap = comp - 1 - lat
-                if gap < rank:
-                    rank = gap
-        earliest = comp - 1
-        if earliest < rank:
-            rank = earliest
-        return rank
+            if lat is not None and end - 1 - lat < rank:
+                rank = end - 1 - lat
+        earliest = min(lows) - 1
+        return earliest if earliest < rank else rank
     starts: dict[str, int] = {}
     slots = _BackwardSlots(machine)
-    for y in sorted(descendants, key=ranks.__getitem__, reverse=True):
+    for y in order:
         end = slots.place(graph.fu_class(y), graph.exec_time(y), ranks[y])
         starts[y] = end - graph.exec_time(y)
     rank = min(rank, min(starts.values()))
-    for y, lat in graph.successors(x).items():
+    for y, lat in succ.items():
         gap = starts[y] - lat
         if gap < rank:
             rank = gap
@@ -257,9 +246,9 @@ def compute_ranks(
     with obs.span("rank", nodes=len(graph)):
         d = fill_deadlines(graph, deadlines)
         ranks: dict[str, int] = {}
-        fast = _unit_exec_single_fu(graph, machine)
+        pools = _unit_pools(graph, machine)
         for x in reversed(graph.topological_order()):
-            ranks[x] = _node_rank(graph, machine, x, d[x], ranks, fast)
+            ranks[x] = _node_rank(graph, machine, x, d[x], ranks, pools)
         return ranks
 
 
@@ -307,9 +296,11 @@ class RankEngine:
         self.graph = graph
         self.machine = machine or single_unit_machine()
         self._deadlines = fill_deadlines(graph, deadlines)
-        self._fast = _unit_exec_single_fu(graph, self.machine)
-        self._rev_topo = list(reversed(graph.topological_order()))
-        self._idx = {n: i for i, n in enumerate(graph.nodes)}
+        self._pools = _unit_pools(graph, self.machine)
+        self._rev_topo = [
+            (x, 1 << graph.node_index(x))
+            for x in reversed(graph.topological_order())
+        ]
         if ranks is not None:
             # Trusted seed: must equal compute_ranks(graph, deadlines,
             # machine).  Used to make engine construction free when the
@@ -400,34 +391,28 @@ class RankEngine:
             obs.count("rank.engine.reused", len(self.graph))
             return
         graph = self.graph
-        idx = self._idx
-        n = len(graph)
-        affected = np.zeros(n, dtype=bool)
+        affected = 0
         for s in seeds:
-            affected |= graph.ancestor_row(s)
-            affected[idx[s]] = True
-        changed = np.zeros(n, dtype=bool)
+            affected |= graph.ancestor_row(s) | 1 << graph.node_index(s)
+        changed = 0
         reranked = 0
-        with obs.span("rank.incremental", nodes=int(affected.sum())):
-            for x in self._rev_topo:
-                i = idx[x]
-                if not affected[i]:
+        with obs.span("rank.incremental", nodes=affected.bit_count()):
+            for x, bit in self._rev_topo:
+                if not affected & bit:
                     continue
-                if x not in seeds and not bool(
-                    np.any(changed & graph.reachability_row(x))
-                ):
+                if x not in seeds and not changed & graph.reachability_row(x):
                     continue  # deadline and all descendant ranks unchanged
                 new_rank = _node_rank(
                     graph, self.machine, x, self._deadlines[x],
-                    self._ranks, self._fast,
+                    self._ranks, self._pools,
                 )
                 reranked += 1
                 if x in new_nodes or new_rank != self._ranks.get(x):
                     self._ranks[x] = new_rank
-                    changed[i] = True
+                    changed |= bit
         obs.count("rank.engine.updates")
         obs.count("rank.engine.reranked", reranked)
-        obs.count("rank.engine.reused", n - reranked)
+        obs.count("rank.engine.reused", len(graph) - reranked)
 
 
 def list_schedule(

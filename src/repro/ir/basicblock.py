@@ -68,9 +68,7 @@ class Trace:
                     raise ValueError(f"node {n!r} appears in more than one block")
                 self.block_of[n] = i
 
-        g = self.blocks[0].graph.copy()
-        for bb in self.blocks[1:]:
-            g = g.union(bb.graph)
+        g = self.blocks[0].graph.union(*(bb.graph for bb in self.blocks[1:]))
         self.cross_edges: list[tuple[str, str, int]] = []
         for u, v, lat in cross_edges:
             bu, bv = self.block_of.get(u), self.block_of.get(v)

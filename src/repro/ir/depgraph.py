@@ -8,16 +8,14 @@ paper's core results; nodes may optionally carry execution times > 1 and
 functional-unit classes for the §4.2 heuristic generalizations.
 
 The class is deliberately self-contained (no networkx dependency) because the
-rank computation needs tight control over reachability; descendant sets are
-materialized as a numpy boolean matrix computed once per graph revision and
-cached.
+rank computation needs tight control over reachability; descendant and
+ancestor sets are Python-int bitsets over program-order indices, computed once
+per graph revision and cached.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping
-
-import numpy as np
 
 from .instruction import ANY, Instruction
 
@@ -36,8 +34,8 @@ class DependenceGraph:
         self._fu_class: dict[str, str] = {}
         self._order: list[str] = []  # insertion order of nodes
         self._topo_cache: list[str] | None = None
-        self._reach_cache: tuple[dict[str, int], np.ndarray] | None = None
-        self._names_cache: np.ndarray | None = None  # program order, object dtype
+        self._reach_cache: tuple[dict[str, int], list[int], list[int]] | None = None
+        self._desc_cache: dict[str, list[str]] = {}  # node -> descendants
         #: Scratch space for derived analyses (e.g. scheduler labellings);
         #: cleared whenever the graph changes.
         self.analysis_cache: dict[str, object] = {}
@@ -82,8 +80,31 @@ class DependenceGraph:
     def _invalidate(self) -> None:
         self._topo_cache = None
         self._reach_cache = None
-        self._names_cache = None
+        self._desc_cache.clear()
         self.analysis_cache.clear()
+
+    def _append_induced(
+        self, src: "DependenceGraph", nodes: list[str], keep: set[str] | None
+    ) -> None:
+        """Append ``nodes`` of ``src`` (in that order) and every edge of
+        ``src`` between them in one pass; ``keep`` is the set of ``nodes``,
+        or None when ``nodes`` is all of ``src``.  Every successor and
+        predecessor dict comes out in the order one ``add_node`` per node and
+        one ``add_edge`` per edge of ``src.edges()`` would give it."""
+        succ, pred = self._succ, self._pred
+        for n in nodes:
+            succ[n] = {}
+            pred[n] = {}
+            self._exec_time[n] = src._exec_time[n]
+            self._fu_class[n] = src._fu_class[n]
+        self._order.extend(nodes)
+        for u in nodes:
+            out = succ[u]
+            for v, lat in src._succ[u].items():
+                if keep is None or v in keep:
+                    out[v] = lat
+                    pred[v][u] = lat
+        self._invalidate()
 
     # Queries ------------------------------------------------------------------
 
@@ -167,57 +188,73 @@ class DependenceGraph:
         except CycleError:
             return False
 
-    def _reachability(self) -> tuple[dict[str, int], np.ndarray]:
-        """Boolean matrix R with R[i, j] = True iff node j is a strict
-        descendant of node i.  Computed by a reverse-topological DP with
-        vectorized row ORs; cached until the graph changes."""
+    def _reachability(self) -> tuple[dict[str, int], list[int], list[int]]:
+        """Program-order index of every node, and per index the bitsets of
+        its strict descendants and strict ancestors (bit j stands for the
+        j-th node in program order).  One pass over the topological order
+        each way; cached until the graph changes."""
         if self._reach_cache is None:
             topo = self.topological_order()
             idx = {n: i for i, n in enumerate(self._order)}
-            n = len(self._order)
-            reach = np.zeros((n, n), dtype=bool)
+            desc = [0] * len(self._order)
+            anc = [0] * len(self._order)
             for u in reversed(topo):
-                iu = idx[u]
-                row = reach[iu]
+                mask = 0
                 for v in self._succ[u]:
                     iv = idx[v]
-                    row[iv] = True
-                    row |= reach[iv]
-            self._reach_cache = (idx, reach)
+                    mask |= desc[iv] | 1 << iv
+                desc[idx[u]] = mask
+            for v in topo:
+                mask = 0
+                for u in self._pred[v]:
+                    iu = idx[u]
+                    mask |= anc[iu] | 1 << iu
+                anc[idx[v]] = mask
+            self._reach_cache = (idx, desc, anc)
         return self._reach_cache
 
+    def _decode(self, mask: int) -> list[str]:
+        """The nodes of a bitset, in program order."""
+        order = self._order
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(order[low.bit_length() - 1])
+            mask ^= low
+        return out
+
     def descendants(self, u: str) -> list[str]:
-        """All strict descendants of ``u``, in program order."""
-        idx, reach = self._reachability()
-        if self._names_cache is None:
-            self._names_cache = np.array(self._order, dtype=object)
-        return self._names_cache[reach[idx[u]]].tolist()
+        """All strict descendants of ``u``, in program order (memoized per
+        node until the graph changes)."""
+        names = self._desc_cache.get(u)
+        if names is None:
+            idx, desc, _ = self._reachability()
+            names = self._desc_cache[u] = self._decode(desc[idx[u]])
+        return list(names)
 
     def node_index(self, u: str) -> int:
         """Program-order index of ``u`` (stable across queries)."""
-        idx, _ = self._reachability()
+        idx, _, _ = self._reachability()
         return idx[u]
 
-    def reachability_row(self, u: str) -> np.ndarray:
-        """Boolean descendant mask of ``u`` over program-order indices
-        (shared cache — do not mutate)."""
-        idx, reach = self._reachability()
-        return reach[idx[u]]
+    def reachability_row(self, u: str) -> int:
+        """Descendant bitset of ``u``: bit j is set iff the j-th node in
+        program order is a strict descendant of ``u``."""
+        idx, desc, _ = self._reachability()
+        return desc[idx[u]]
 
     def ancestors(self, u: str) -> list[str]:
-        idx, reach = self._reachability()
-        col = reach[:, idx[u]]
-        return [n for n in self._order if col[idx[n]]]
+        """All strict ancestors of ``u``, in program order."""
+        return self._decode(self.ancestor_row(u))
 
-    def ancestor_row(self, u: str) -> np.ndarray:
-        """Boolean ancestor mask of ``u`` over program-order indices
-        (shared cache — do not mutate)."""
-        idx, reach = self._reachability()
-        return reach[:, idx[u]]
+    def ancestor_row(self, u: str) -> int:
+        """Ancestor bitset of ``u``, indexed as :meth:`reachability_row`."""
+        idx, _, anc = self._reachability()
+        return anc[idx[u]]
 
     def reaches(self, u: str, v: str) -> bool:
-        idx, reach = self._reachability()
-        return bool(reach[idx[u], idx[v]])
+        idx, desc, _ = self._reachability()
+        return bool(desc[idx[u]] >> idx[v] & 1)
 
     # Derived metrics ------------------------------------------------------------
 
@@ -260,31 +297,29 @@ class DependenceGraph:
     def subgraph(self, keep: Iterable[str]) -> "DependenceGraph":
         """Induced subgraph on ``keep`` (program order preserved)."""
         keep_set = set(keep)
-        unknown = keep_set - set(self._succ)
+        unknown = keep_set - self._succ.keys()
         if unknown:
             raise KeyError(f"unknown nodes {sorted(unknown)}")
         g = DependenceGraph()
-        for n in self._order:
-            if n in keep_set:
-                g.add_node(n, self._exec_time[n], self._fu_class[n])
-        for u, v, lat in self.edges():
-            if u in keep_set and v in keep_set:
-                g.add_edge(u, v, lat)
+        g._append_induced(
+            self, [n for n in self._order if n in keep_set], keep_set
+        )
         return g
 
     def copy(self) -> "DependenceGraph":
-        return self.subgraph(self._order)
+        g = DependenceGraph()
+        g._append_induced(self, self._order, None)
+        return g
 
-    def union(self, other: "DependenceGraph") -> "DependenceGraph":
-        """Disjoint union (node sets must not overlap)."""
-        overlap = set(self._succ) & set(other._succ)
-        if overlap:
-            raise ValueError(f"node sets overlap: {sorted(overlap)}")
+    def union(self, *others: "DependenceGraph") -> "DependenceGraph":
+        """Disjoint union of this graph and ``others``, in that order (node
+        sets must not overlap)."""
         g = self.copy()
-        for n in other._order:
-            g.add_node(n, other._exec_time[n], other._fu_class[n])
-        for u, v, lat in other.edges():
-            g.add_edge(u, v, lat)
+        for other in others:
+            overlap = g._succ.keys() & other._succ.keys()
+            if overlap:
+                raise ValueError(f"node sets overlap: {sorted(overlap)}")
+            g._append_induced(other, other._order, None)
         return g
 
     def relabeled(self, mapping: Mapping[str, str]) -> "DependenceGraph":

@@ -88,6 +88,14 @@ class MachineModel:
         """
         return list(self._units_for.get(fu_class, self._universal))
 
+    def pool(self, fu_class: str) -> str:
+        """The unit pool instructions of ``fu_class`` compete for in
+        resource-counting schedules (the backward schedule, modulo
+        reservation tables): one shared pool on a single-unit machine and
+        for :data:`ANY`, otherwise the class's own.  Its size is
+        :meth:`capacity` of the pool."""
+        return ANY if fu_class == ANY or len(self._units) == 1 else fu_class
+
     def capacity(self, fu_class: str) -> int:
         """Size of the unit pool that instructions of ``fu_class`` compete
         for in resource-counting schedules (the backward schedule, modulo

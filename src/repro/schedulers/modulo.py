@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..ir.instruction import ANY
 from ..ir.loopgraph import LoopGraph
 from ..machine.model import MachineModel, single_unit_machine
 
@@ -45,8 +44,7 @@ def resource_mii(loop: LoopGraph, machine: MachineModel) -> int:
     """ceil(work per class / units of that class), maximized over classes."""
     work: dict[str, int] = {}
     for n in loop.nodes:
-        cls = loop.fu_class(n)
-        pool = ANY if (cls == ANY or machine.is_single_unit) else cls
+        pool = machine.pool(loop.fu_class(n))
         work[pool] = work.get(pool, 0) + loop.exec_time(n)
     best = 1
     for pool, cycles in work.items():
@@ -100,8 +98,7 @@ def _try_ii(
     table: dict[str, dict[int, list[str]]] = {}
 
     def pool_of(node: str) -> str:
-        cls = loop.fu_class(node)
-        return ANY if (cls == ANY or machine.is_single_unit) else cls
+        return machine.pool(loop.fu_class(node))
 
     def reserve(node: str, start: int) -> list[str]:
         """Place node at start, ejecting conflicting nodes; returns ejected."""

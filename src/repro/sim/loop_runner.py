@@ -20,7 +20,6 @@ import math
 from typing import Mapping, Sequence
 
 from ..ir.basicblock import LoopTrace
-from ..ir.instruction import ANY
 from ..ir.loopgraph import LoopGraph, instance_name
 from ..machine.model import MachineModel, single_unit_machine
 from ..obs import recorder as obs
@@ -147,8 +146,7 @@ def _modulo_resources_ok(
     """Check per-class capacity of the modulo reservation table for ``ii``."""
     usage: dict[str, dict[int, int]] = {}
     for n in loop.nodes:
-        cls = loop.fu_class(n)
-        pool = ANY if (cls == ANY or machine.is_single_unit) else cls
+        pool = machine.pool(loop.fu_class(n))
         table = usage.setdefault(pool, {})
         for step in range(loop.exec_time(n)):
             slot = (offsets[n] + step) % ii

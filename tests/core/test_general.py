@@ -15,6 +15,7 @@ from repro.core.loops import LoopScheduleResult, LoopTraceResult
 from repro.ir import (
     ANY,
     FIXED,
+    FLOAT,
     MEMORY,
     LoopTrace,
     block_from_graph,
@@ -29,6 +30,14 @@ class TestSplitRanks:
         g = random_dag(15, edge_probability=0.25, latencies=(0, 1), seed=4)
         d = {n: 30 for n in g.nodes}
         assert compute_ranks_split(g, d) == compute_ranks(g, d)
+        # Typed classes on a single unit share its one pool: x -> a, b due
+        # at 10 complete at 10 and 9, so x completes by 8.
+        g = graph_from_edges(
+            [("x", "a", 0), ("x", "b", 0)], fu_classes={"a": FIXED, "b": FLOAT}
+        )
+        d = {"x": 50, "a": 10, "b": 10}
+        assert compute_ranks_split(g, d) == compute_ranks(g, d)
+        assert compute_ranks(g, d)["x"] == 8
 
     def test_split_at_most_whole(self):
         """Splitting can only pack descendants later or equally, so split

@@ -6,9 +6,11 @@ Two fast paths must be bit-identical to the from-scratch reference:
   perturbations (single-node, batched, infeasible, multi-unit, non-unit
   execution times) its rank map must equal ``compute_ranks`` on the same
   deadlines;
-- the capacity-1/unit-exec closed form inside ``_node_rank`` — placements in
-  nonincreasing rank order are strictly decreasing, so latest-fit needs no
-  search structure; fuzzed against the general :class:`_BackwardSlots` path.
+- the unit-time closed form inside ``_node_rank`` — placing in
+  nonincreasing rank order, each pool's latest free slot follows from its
+  lowest occupied slot and the room left there, so latest-fit needs no
+  search; fuzzed against the general :class:`_BackwardSlots` path on pools
+  of every capacity.
 
 Plus the regression the tentpole fixed: ``move_idle_slot`` used to run two
 full rank computations per trial; with an engine it must run none (the
@@ -17,8 +19,12 @@ all that remains).
 """
 
 import random
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.core.rank as rankmod
 from repro.core import (
@@ -33,24 +39,41 @@ from repro.core import (
     makespan_deadlines,
     minimum_makespan_schedule,
 )
-from repro.ir import FIXED, FLOAT, DependenceGraph, graph_from_edges
+from repro.ir import (
+    ANY,
+    FIXED,
+    FLOAT,
+    FU_CLASSES,
+    MEMORY,
+    DependenceGraph,
+    graph_from_edges,
+)
+from repro.machine import PAPER_CORE, RS6000_LIKE, WIDE_VLIW
 from repro.machine.model import MachineModel, single_unit_machine
 from repro.obs import TraceRecorder, recording
 from repro.workloads.random_dag import random_dag
 from repro.workloads.traces import random_trace
 
 
+#: Typed pools of two sizes plus a universal unit; ``MEMORY`` has no unit
+#: of its own and runs on the universal one.
+TYPED_MACHINE = MachineModel(window_size=4, fu_counts={FIXED: 2, FLOAT: 1, ANY: 1})
+
+
 def random_instance(seed: int):
     """A random (graph, deadlines, machine) triple covering every regime the
-    repo models: infeasible (negative) deadlines, multi-unit machines,
-    non-unit execution times, latencies > 1."""
+    repo models: infeasible (negative) deadlines, multi-unit machines (a
+    universal pool, or typed pools), non-unit execution times, latencies
+    > 1."""
     rng = random.Random(seed)
     exec_times = (1,) if seed % 3 else (1, 2, 3)
+    typed = seed % 4 == 2
     graph = random_dag(
         rng.randint(1, 25),
         edge_probability=rng.choice([0.1, 0.3, 0.6]),
         latencies=(0, 1, 2),
         exec_times=exec_times,
+        fu_classes=(FIXED, FLOAT, MEMORY, ANY) if typed else (ANY,),
         seed=seed,
     )
     deadlines = {
@@ -60,6 +83,8 @@ def random_instance(seed: int):
         machine = MachineModel(
             window_size=4, fu_counts={"any": rng.randint(2, 3)}
         )
+    elif typed:
+        machine = TYPED_MACHINE
     else:
         machine = single_unit_machine()
     return graph, deadlines, machine
@@ -177,12 +202,71 @@ class TestEngineOracle:
         assert carried.ranks == compute_ranks(graph, expected, machine)
 
 
+@contextmanager
+def closed_form_off():
+    """Rank through :class:`_BackwardSlots` instead of the closed form: the
+    pool table still runs, for its class check, but is not handed on."""
+    table = rankmod._unit_pools
+
+    def off(graph, machine):
+        table(graph, machine)
+        return None
+
+    with mock.patch.object(rankmod, "_unit_pools", off):
+        yield
+
+
+#: Every pool shape the closed form meets: one unit (also shared by typed
+#: classes), typed pools of one and two units, universal pools of two and
+#: three, and typed pools beside a universal unit.  The single ``FIXED`` unit
+#: cannot run the other typed classes, for the error path.
+POOL_MACHINES = (
+    PAPER_CORE,
+    WIDE_VLIW,
+    RS6000_LIKE,
+    MachineModel(fu_counts={ANY: 2}),
+    MachineModel(fu_counts={ANY: 3}),
+    TYPED_MACHINE,
+    MachineModel(fu_counts={FIXED: 3, FLOAT: 2}, issue_width=2),
+    MachineModel(fu_counts={FIXED: 1}),
+)
+
+
+@st.composite
+def unit_time_instances(draw):
+    """A random DAG of 1-30 unit-time nodes over typed and universal
+    classes (latencies 0/1/2/4), deadlines on some nodes (negative ones
+    included) and one of ``POOL_MACHINES``."""
+    n = draw(st.integers(min_value=1, max_value=30))
+    graph = DependenceGraph()
+    for i in range(n):
+        graph.add_node(f"n{i}", fu_class=draw(st.sampled_from(FU_CLASSES)))
+    pairs = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=n - 1),
+                st.integers(min_value=0, max_value=n - 1),
+                st.sampled_from((0, 1, 2, 4)),
+            ),
+            max_size=3 * n,
+        )
+    )
+    for a, b, lat in pairs:
+        if a != b:
+            graph.add_edge(f"n{min(a, b)}", f"n{max(a, b)}", lat)
+    deadlines = draw(
+        st.dictionaries(
+            st.sampled_from(graph.nodes), st.integers(min_value=-8, max_value=50)
+        )
+    )
+    return graph, deadlines, draw(st.sampled_from(POOL_MACHINES))
+
+
 class TestClosedFormBackwardSchedule:
     @pytest.mark.parametrize("seed", range(40))
-    def test_matches_general_allocator(self, seed, monkeypatch):
-        """The strictly-decreasing-placements closed form must reproduce the
-        union-find/_BackwardSlots latest-fit bit for bit (single unit, unit
-        execution times — the regime where the fast path is taken)."""
+    def test_matches_general_allocator(self, seed):
+        """The closed form must reproduce _BackwardSlots's latest-fit bit
+        for bit on a single unit with unit execution times."""
         rng = random.Random(seed)
         graph = random_dag(
             rng.randint(1, 30),
@@ -195,9 +279,73 @@ class TestClosedFormBackwardSchedule:
         }
         machine = single_unit_machine()
         fast = compute_ranks(graph, deadlines, machine)
-        monkeypatch.setattr(rankmod, "_unit_exec_single_fu", lambda *a: False)
-        slow = compute_ranks(graph, deadlines, machine)
+        with closed_form_off():
+            slow = compute_ranks(graph, deadlines, machine)
         assert fast == slow
+
+    @settings(max_examples=400, deadline=None)
+    @given(unit_time_instances())
+    def test_matches_general_allocator_on_every_pool(self, instance):
+        """On pools of any capacity the closed form gives _BackwardSlots's
+        ranks, and both reject a class without a unit as list_schedule
+        does."""
+        graph, deadlines, machine = instance
+        if not machine.can_execute(graph):
+            for run in (compute_ranks, RankEngine):
+                with pytest.raises(ValueError, match="lacks a functional unit"):
+                    run(graph, deadlines, machine)
+                with closed_form_off(), pytest.raises(
+                    ValueError, match="lacks a functional unit"
+                ):
+                    run(graph, deadlines, machine)
+            return
+        fast = compute_ranks(graph, deadlines, machine)
+        with closed_form_off():
+            slow = compute_ranks(graph, deadlines, machine)
+        assert fast == slow
+        assert RankEngine(graph, deadlines, machine).ranks == fast
+
+    @pytest.mark.parametrize(
+        "machine,classes,want",
+        [
+            (PAPER_CORE, (FIXED, FLOAT, ANY), 2),  # one pool: 5, 4, 3
+            (WIDE_VLIW, (FIXED, FIXED, FIXED), 3),  # two fixed units: 5, 5, 4
+            (WIDE_VLIW, (FIXED, FLOAT, FIXED), 4),  # fixed 5, 5; float 5
+            (MachineModel(fu_counts={ANY: 3}), (ANY, ANY, ANY), 4),
+        ],
+    )
+    def test_low_slot_fills_to_capacity(self, machine, classes, want):
+        """x -> a, b, c, all due at 5: each pool fills its latest slot up
+        to its capacity, then the slot below."""
+        graph = DependenceGraph()
+        graph.add_node("x")
+        for name, cls in zip("abc", classes):
+            graph.add_node(name, fu_class=cls)
+            graph.add_edge("x", name, 0)
+        deadlines = dict.fromkeys("abc", 5)
+        assert compute_ranks(graph, deadlines, machine)["x"] == want
+        with closed_form_off():
+            assert compute_ranks(graph, deadlines, machine)["x"] == want
+
+
+class TestSingleUnitPool:
+    """A single unit is one pool for every class, in the closed form and in
+    _BackwardSlots alike."""
+
+    @pytest.mark.parametrize("b_class", [FIXED, FLOAT])
+    def test_multicycle_descendants_share_the_unit(self, b_class):
+        """x -> a (fixed, 2 cycles), b: a and b need three cycles of the one
+        unit, so x must complete by 7 whatever b's class is."""
+        graph = DependenceGraph()
+        graph.add_node("x")
+        graph.add_node("a", exec_time=2, fu_class=FIXED)
+        graph.add_node("b", fu_class=b_class)
+        graph.add_edge("x", "a", 0)
+        graph.add_edge("x", "b", 0)
+        deadlines = {"x": 50, "a": 10, "b": 10}
+        machine = single_unit_machine()
+        assert compute_ranks(graph, deadlines, machine)["x"] == 7
+        assert RankEngine(graph, deadlines, machine).ranks["x"] == 7
 
 
 class TestPipelineBitIdentity:

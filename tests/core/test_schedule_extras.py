@@ -32,7 +32,7 @@ class TestGraphIndexAccessors:
     def test_reachability_row(self):
         g = figure1_bb1()
         row = g.reachability_row("x")
-        desc = {g.nodes[i] for i in range(len(g)) if row[i]}
+        desc = {g.nodes[i] for i in range(len(g)) if row >> i & 1}
         assert desc == {"w", "b", "a", "r"}
 
     def test_analysis_cache_cleared_on_mutation(self):

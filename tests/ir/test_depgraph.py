@@ -2,8 +2,10 @@
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.ir import CycleError, DependenceGraph, graph_from_edges
+from repro.ir import FU_CLASSES, CycleError, DependenceGraph, graph_from_edges
 from repro.workloads import figure1_bb1, random_dag
 
 
@@ -177,3 +179,89 @@ class TestCaching:
         assert g.descendants("a") == ["b"]
         g.add_edge("b", "c", 0)
         assert g.descendants("a") == ["b", "c"]
+
+
+def reference_subgraph(g: DependenceGraph, keep) -> DependenceGraph:
+    """The induced subgraph built one ``add_node``/``add_edge`` call at a
+    time, in ``g``'s program and edge order."""
+    keep = set(keep)
+    ref = DependenceGraph()
+    for n in g.nodes:
+        if n in keep:
+            ref.add_node(n, g.exec_time(n), g.fu_class(n))
+    for u, v, lat in g.edges():
+        if u in keep and v in keep:
+            ref.add_edge(u, v, lat)
+    return ref
+
+
+def layout(g: DependenceGraph) -> tuple:
+    """Everything whose order a consumer can observe."""
+    return (
+        g.nodes,
+        [(n, g.exec_time(n), g.fu_class(n)) for n in g.nodes],
+        [list(g.successors(n).items()) for n in g.nodes],
+        [list(g.predecessors(n).items()) for n in g.nodes],
+    )
+
+
+@st.composite
+def graphs_and_keeps(draw):
+    """A random DAG whose edges are added in a random order (so a node's
+    predecessor dict is not in program order), and a random keep set."""
+    n = draw(st.integers(min_value=0, max_value=20))
+    g = DependenceGraph()
+    for i in range(n):
+        g.add_node(
+            f"n{i}",
+            exec_time=draw(st.integers(min_value=1, max_value=3)),
+            fu_class=draw(st.sampled_from(FU_CLASSES)),
+        )
+    if n > 1:
+        edges = draw(
+            st.lists(
+                st.tuples(
+                    st.integers(min_value=0, max_value=n - 1),
+                    st.integers(min_value=0, max_value=n - 1),
+                    st.integers(min_value=0, max_value=4),
+                ),
+                max_size=3 * n,
+            )
+        )
+        for a, b, lat in edges:
+            if a != b:
+                g.add_edge(f"n{min(a, b)}", f"n{max(a, b)}", lat)
+    keep = draw(st.lists(st.sampled_from(g.nodes), unique=True)) if n else []
+    return g, keep
+
+
+class TestOnePassConstruction:
+    @settings(max_examples=200, deadline=None)
+    @given(graphs_and_keeps())
+    def test_subgraph_matches_incremental_build(self, case):
+        g, keep = case
+        assert layout(g.subgraph(keep)) == layout(reference_subgraph(g, keep))
+        assert layout(g.copy()) == layout(reference_subgraph(g, g.nodes))
+
+    @settings(max_examples=100, deadline=None)
+    @given(graphs_and_keeps(), graphs_and_keeps())
+    def test_union_matches_incremental_build(self, first, second):
+        a = first[0]
+        b = second[0].relabeled({n: f"b{n}" for n in second[0].nodes})
+        ref = reference_subgraph(a, a.nodes)
+        for n in b.nodes:
+            ref.add_node(n, b.exec_time(n), b.fu_class(n))
+        for u, v, lat in b.edges():
+            ref.add_edge(u, v, lat)
+        assert layout(a.union(b)) == layout(ref)
+
+    def test_subgraph_caches_are_its_own(self):
+        g = diamond()
+        assert g.descendants("b") == ["d"]
+        sub = g.subgraph(["b", "c", "d"])
+        assert sub.descendants("b") == ["d"]
+        assert sub.ancestors("d") == ["b", "c"]
+        sub.add_edge("b", "c", 0)
+        assert sub.descendants("b") == ["c", "d"]
+        assert g.descendants("b") == ["d"]
+        assert "c" not in g.successors("b")
