@@ -13,13 +13,18 @@ consequently every rank").  Each call to :func:`move_idle_slot`:
 
 1. clamps the deadlines of the nodes in the u-set σᵢ (scheduled between the
    previous idle slot and tᵢ) to tᵢ — the paper's "this step insures that idle
-   slots don't move earlier"; these clamps are *retained* even on failure,
+   slots don't move earlier".  Beyond the paper's single unit that can fail:
+   with several units of a class a trial can still open an earlier slot (see
+   :func:`move_idle_slot`).  These clamps are *retained* even on failure,
    because later idle-slot processing relies on them;
 2. repeatedly forces the *tail* node (the node completing at tᵢ) one time
    unit earlier — d(tail) := tᵢ − 1 — and re-runs the Rank Algorithm, until
    the i-th idle slot moves later (success: keep all modifications) or the
-   deadline system becomes infeasible (failure: undo the tail reductions and
-   return the input schedule).
+   deadline system becomes infeasible or the slot moves earlier (failure:
+   undo the tail reductions and return the input schedule).
+
+A slot with no tail — the unit is also idle at tᵢ − 1, or tᵢ = 0 — has an
+empty σᵢ and cannot move, so :func:`delay_idle_slots` skips it.
 
 In the optimal regime (unit times, 0/1 latencies, one FU) repeated
 application yields a minimum-makespan schedule in which every idle slot is as
@@ -49,7 +54,8 @@ class IdleMoveResult:
     schedule: Schedule
     deadlines: dict[str, int]
     #: Start time of the i-th idle slot after the call; ``None`` when the slot
-    #: was eliminated outright (possible only in heuristic, multi-unit cases).
+    #: was eliminated outright (possible only outside the optimal regime, on
+    #: one unit as well as on several).
     new_time: int | None
     moved: bool
 
@@ -73,8 +79,9 @@ def move_idle_slot(
     deadline state equals ``deadlines`` on entry.  Each trial then updates
     ranks only for the changed node and its ancestors instead of running two
     full rank computations; on exit the engine's state equals the returned
-    deadline map (tail reductions rolled back on failure, clamps kept).
-    Results are bit-identical with and without an engine.
+    deadline map (on failure, restored from a snapshot taken after the
+    clamps and before the first tail reduction).  Results are bit-identical
+    with and without an engine.
     """
     machine = machine or single_unit_machine()
     graph = schedule.graph
@@ -84,19 +91,21 @@ def move_idle_slot(
     t_i = times[index]
     prev_t = times[index - 1] if index > 0 else -1
 
-    # Step 1: clamp σᵢ deadlines so the idle slot cannot move earlier.
-    clamped = dict(deadlines)
-    for n, t in schedule.starts.items():
-        if prev_t < t < t_i and schedule.units[n] == unit:
-            clamped[n] = min(clamped[n], t_i)
+    # Step 1: clamp σᵢ deadlines to tᵢ; the engine hears only those lowered.
     # (Nodes starting at prev_t + 0 == 0 when index == 0 are covered by
     # prev_t = -1; an idle slot itself never holds a node.)
-    if engine is not None:
-        engine.set_deadlines(clamped)
+    lowered = {
+        n: t_i
+        for n, t in schedule.starts.items()
+        if prev_t < t < t_i and schedule.units[n] == unit and deadlines[n] > t_i
+    }
+    clamped = {**deadlines, **lowered}
+    if engine is not None and lowered:
+        engine.set_deadlines(lowered)
 
     current = schedule
     trial = dict(clamped)
-    reduced: dict[str, int] = {}  # tail -> pre-reduction (clamped) deadline
+    saved = None  # the engine's state before the first tail reduction
     for _ in range(len(graph) + 1):
         tail = current.tail_node(t_i, unit)
         if tail is None:
@@ -107,9 +116,10 @@ def move_idle_slot(
         )
         if ranks[tail] < t_i:
             break  # paper's guard: no node in σᵢ can still complete at tᵢ
-        reduced.setdefault(tail, trial[tail])
         trial[tail] = t_i - 1
         if engine is not None:
+            if saved is None:
+                saved = engine.snapshot()
             engine.set_deadlines({tail: t_i - 1})
             new_sched, _ = rank_schedule(
                 graph, trial, machine, ranks=engine.ranks
@@ -125,11 +135,15 @@ def move_idle_slot(
         if t_new > t_i:
             return IdleMoveResult(new_sched, trial, t_new, True)
         if t_new < t_i:
-            break  # defensive: should not happen given the clamps
+            # The clamps are meant to rule this out, but with sibling units
+            # of a class the trial's list schedule can move a node between
+            # this unit and a sibling and so open an earlier slot here.
+            # Such a trial fails like an infeasible one.
+            break
         current = new_sched  # same position, different arrangement: retry
     # Failure: undo the tail reductions, keep the clamps, return input.
-    if engine is not None and reduced:
-        engine.set_deadlines(reduced)
+    if saved is not None:
+        engine.restore(saved)
     return IdleMoveResult(schedule, clamped, t_i, False)
 
 
@@ -169,16 +183,21 @@ def delay_idle_slots(
     ):
         index = 0
         while index < len(times):
+            t = times[index]
+            if t == 0 or (index and times[index - 1] == t - 1):
+                # Nothing runs on the unit just before the slot: σᵢ is
+                # empty and there is no tail, so the slot cannot move.
+                index += 1
+                continue
             result = move_idle_slot(schedule, d, index, machine, unit, engine)
             schedule, d = result.schedule, result.deadlines
             if result.moved:
+                # Moved later, or eliminated so that the next slot shifted
+                # into ``index``: work on the same positional slot again.
                 obs.count("idle.slots_moved")
                 times = schedule.idle_times(unit)  # a failed move keeps them
-            if result.new_time is None and result.moved:
-                continue  # slot eliminated: the next slot shifted into ``index``
-            if not result.moved:
+            else:
                 index += 1  # cannot move further: freeze and go to the next slot
-            # else: moved later — keep working on the same positional slot.
         return schedule, d
 
 

@@ -231,16 +231,12 @@ def compute_ranks(
     deadline.  Ranks never exceed deadlines and may go non-positive on
     infeasible instances.
 
-    Two reconstruction subtleties matter for optimality (found by fuzzing
-    against the brute-force oracle; see ``tests/core/test_rank_fastpath.py``):
-
-    1. the backward schedule must respect the dependence edges *among* the
-       descendants (a descendant must complete before its own successors
-       start, minus latency) — not only their ranks;
-    2. within a group of interchangeable placements, the latest slots must
-       go to x's direct successors with the largest ``latency(x, ·)``, and
-       the earliest slots to non-successors (whose only influence on
-       rank(x) is through the earliest-start term).
+    Each node's backward schedule (:func:`_node_rank`) places its
+    descendants by rank alone, largest first, ties in program order; it
+    ignores the edges among the descendants and which of them are x's
+    direct successors.  That rule is not exact under deadlines: on some
+    5-node unit-time DAGs with 0/1 latencies it gives ranks that call a
+    feasible instance infeasible (ROADMAP item 7, open).
     """
     machine = machine or single_unit_machine()
     with obs.span("rank", nodes=len(graph)):
@@ -277,12 +273,18 @@ class RankEngine:
     node was carried too) — true for chop suffixes by construction, since a
     dependence successor never starts earlier.
 
+    :meth:`snapshot` and :meth:`restore` save and put back the whole
+    state, for a caller that tries deadline changes and may undo them.
+
     Counters (when an :mod:`repro.obs` recorder is active):
 
     - ``rank.engine.full`` — from-scratch initializations;
-    - ``rank.engine.updates`` — incremental update calls;
+    - ``rank.engine.updates`` — incremental updates that changed at least
+      one deadline or added a node;
     - ``rank.engine.reranked`` — nodes whose backward schedule was re-run;
-    - ``rank.engine.reused`` — nodes reused without recomputation.
+    - ``rank.engine.reused`` — per update, the nodes not re-ranked; a
+      :meth:`set_deadlines` call that changes nothing, or a
+      :meth:`carried_into` that adds no node, counts the whole graph.
     """
 
     def __init__(
@@ -336,6 +338,18 @@ class RankEngine:
         for n in dirty:
             self._deadlines[n] = updates[n]
         self._update(dirty, frozenset())
+
+    def snapshot(self) -> tuple[dict[str, int], dict[str, int]]:
+        """Copies of the current deadline and rank maps, for :meth:`restore`."""
+        return dict(self._deadlines), dict(self._ranks)
+
+    def restore(self, state: tuple[dict[str, int], dict[str, int]]) -> None:
+        """Put back a :meth:`snapshot` of this engine, in place: the live
+        maps callers hold see the restored values.  Exact because the
+        snapshot's ranks are those of its deadlines."""
+        deadlines, ranks = state
+        self._deadlines.update(deadlines)
+        self._ranks.update(ranks)
 
     def shift(self, delta: int) -> None:
         """Uniformly shift every deadline (and hence every rank) by
@@ -419,7 +433,8 @@ def list_schedule(
     graph: DependenceGraph,
     priority: Sequence[str],
     machine: MachineModel | None = None,
-) -> Schedule:
+    deadlines: Mapping[str, int] | None = None,
+) -> Schedule | None:
     """Greedy list scheduling: at each step issue ready instructions in
     priority-list order onto free compatible units (a unit is never left
     idle while a ready instruction could use it — the paper's greediness
@@ -428,7 +443,12 @@ def list_schedule(
     Event-driven: a node whose predecessors have all issued waits in a heap
     keyed by its earliest start; time advances by one step while a ready
     node stays unissued, and otherwise jumps to the next release (no step in
-    between can issue anything)."""
+    between can issue anything).
+
+    ``deadlines``, when given, must cover every node: scheduling then stops
+    and returns None at the first node issued to complete after its
+    deadline.  An issued start never changes, so the whole schedule would
+    miss that deadline too (:meth:`Schedule.is_feasible` would say False)."""
     machine = machine or single_unit_machine()
     if sorted(priority) != sorted(graph.nodes):
         raise ValueError("priority list must be a permutation of the graph nodes")
@@ -447,6 +467,7 @@ def list_schedule(
         raise ValueError("machine lacks a functional unit for some instruction")
 
     index = {n: i for i, n in enumerate(priority)}
+    due = None if deadlines is None else [deadlines[n] for n in priority]
     npred = [len(graph.predecessors(n)) for n in priority]
     est = [0] * len(priority)  # earliest start allowed by issued predecessors
     released = [(0, i) for i, k in enumerate(npred) if k == 0]  # a heap
@@ -474,6 +495,8 @@ def list_schedule(
             starts[n] = time
             units[n] = unit_list[u]
             completion = time + graph.exec_time(n)
+            if due is not None and completion > due[i]:
+                return None
             unit_free_at[u] = completion
             # A successor's earliest start is past ``time`` (exec_time >= 1),
             # so nothing released here can issue in this step.
@@ -570,10 +593,11 @@ def rank_schedule(
 
     Returns ``(schedule, ranks)``; the schedule is ``None`` when the greedy
     schedule misses a deadline (the paper's "rank_alg cannot meet all
-    deadlines ⇒ S = ∅").  In the optimal regime (unit times, 0/1 latencies,
-    single unit) the instance is feasible iff the returned schedule is not
-    None, and the schedule has minimum makespan among deadline-feasible
-    ones.  See :func:`rank_priority_list` for the ``tie_break`` caveat.
+    deadlines ⇒ S = ∅"), found as soon as a node issues too late.  In the
+    optimal regime (unit times, 0/1 latencies, single unit) the instance is
+    feasible iff the returned schedule is not None, and the schedule has
+    minimum makespan among deadline-feasible ones.  See
+    :func:`rank_priority_list` for the ``tie_break`` caveat.
 
     ``ranks`` is the fast path for callers that already hold the ranks of
     the *current* deadline map (typically a :class:`RankEngine`): the rank
@@ -590,10 +614,8 @@ def rank_schedule(
     if not graph.nodes:
         return Schedule(graph, {}), ranks
     sched = list_schedule(
-        graph, rank_priority_list(graph, ranks, tie_break), machine
+        graph, rank_priority_list(graph, ranks, tie_break), machine, full
     )
-    if not sched.is_feasible(full):
-        return None, ranks
     return sched, ranks
 
 

@@ -8,10 +8,17 @@ and the same units, and raise the same errors.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core import list_schedule
+from repro.core import (
+    compute_ranks,
+    fill_deadlines,
+    list_schedule,
+    minimum_makespan_schedule,
+    rank_priority_list,
+    rank_schedule,
+)
 from repro.core.schedule import Schedule
 from repro.ir import FU_CLASSES, FIXED, FLOAT, DependenceGraph
 from repro.machine import PAPER_CORE, WIDE_VLIW, MachineModel, paper_machine
@@ -170,3 +177,66 @@ class TestErrors:
         graph.add_edge("b", "c", 0)
         graph.add_edge("c", "b", 0)
         self.both(graph, ["a", "b", "c"], PAPER_CORE, RuntimeError, "stalled")
+
+
+def misses(schedule, deadlines):
+    """Whether some node of ``schedule`` completes after its deadline."""
+    graph = schedule.graph
+    return any(
+        schedule.starts[n] + graph.exec_time(n) > deadlines[n] for n in graph.nodes
+    )
+
+
+@st.composite
+def deadline_offsets(draw, graph):
+    """Per node an offset from its completion: a cycle early, on time or
+    late by one or three cycles."""
+    return {n: draw(st.sampled_from((-1, 0, 0, 1, 3))) for n in graph.nodes}
+
+
+class TestDeadlineEarlyExit:
+    """``list_schedule`` with deadlines stops at the first node that
+    completes late; it must return None exactly when the whole schedule
+    misses a deadline, and otherwise the schedule made without them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(instances(), st.data())
+    def test_none_exactly_when_the_scan_misses(self, instance, data):
+        graph, priority, machine = instance
+        assume(machine.can_execute(graph))
+        want = reference_list_schedule(graph, priority, machine)
+        offsets = data.draw(deadline_offsets(graph))
+        deadlines = {n: want.completion(n) + k for n, k in offsets.items()}
+        got = list_schedule(graph, priority, machine, deadlines)
+        if misses(want, deadlines):
+            assert got is None
+        else:
+            assert got == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(instances(), st.data())
+    def test_rank_schedule_matches_a_full_schedule(self, instance, data):
+        """rank_schedule against a full list schedule of its priority list
+        and a feasibility check made here."""
+        graph, _, machine = instance
+        assume(machine.can_execute(graph))
+        base = minimum_makespan_schedule(graph, machine)
+        offsets = data.draw(deadline_offsets(graph))
+        deadlines = {n: base.completion(n) + k for n, k in offsets.items()}
+        got, ranks = rank_schedule(graph, deadlines, machine)
+        assert ranks == compute_ranks(graph, deadlines, machine)
+        full = list_schedule(graph, rank_priority_list(graph, ranks), machine)
+        if misses(full, fill_deadlines(graph, deadlines)):
+            assert got is None
+        else:
+            assert got == full
+
+    @pytest.mark.parametrize("slack,met", [(-1, False), (0, True), (1, True)])
+    def test_completing_at_the_deadline_meets_it(self, slack, met):
+        graph = DependenceGraph()
+        graph.add_node("a", exec_time=2)
+        graph.add_node("b")
+        graph.add_edge("a", "b", 1)
+        deadlines = {"a": 2, "b": 4 + slack}
+        got = list_schedule(graph, ["a", "b"], PAPER_CORE, deadlines)
+        assert (got is not None) == met

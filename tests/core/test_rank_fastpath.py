@@ -373,6 +373,27 @@ class TestPipelineBitIdentity:
         assert a.block_orders == b.block_orders
         assert a.predicted_makespan == b.predicted_makespan
 
+    @pytest.mark.parametrize("machine", [WIDE_VLIW, RS6000_LIKE],
+                             ids=["wide_vliw", "rs6000"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_typed_units_incremental_matches_oracle(self, machine, seed):
+        """Typed classes on two units per class (``WIDE_VLIW``) or one
+        (``RS6000_LIKE``), with latencies 0/2/4."""
+        trace = random_trace(
+            num_blocks=3,
+            block_size=(4, 10),
+            edge_probability=0.25,
+            cross_probability=0.1,
+            latencies=(0, 2, 4),
+            fu_classes=(FIXED, FLOAT, MEMORY),
+            seed=seed,
+        )
+        a = algorithm_lookahead(trace, machine, incremental=True)
+        b = algorithm_lookahead(trace, machine, incremental=False)
+        assert [s.delayed for s in a.steps] == [s.delayed for s in b.steps]
+        assert a.block_orders == b.block_orders
+        assert a.predicted_makespan == b.predicted_makespan
+
 
 class TestRankOncePerDelayCall:
     def find_idle_instance(self):
