@@ -1,19 +1,24 @@
 """End-to-end output verification helpers.
 
-These checks are what a compiler integration would run on the emitted block
-orders: every block order must be a permutation of its block and a
-topological order of the block's dependence subgraph; the safety property —
-no instruction crosses a block boundary — is structural; and the windowed
-execution of the emitted orders must be a legal schedule per Definition 2.3.
+These checks are what a compiler integration, and the guarded scheduler,
+run on the emitted block orders: every block order is a permutation of its
+block and a topological order of its dependences (so no instruction
+crosses a block boundary); the orders execute on the window simulator (no
+rejected stream, no deadlock); and that one execution is dependence- and
+resource-valid.  The checked execution is returned, so a caller need not
+simulate again.  The simulator *is* Definition 2.3's greedy execution, so
+greediness is not checked here: re-running it would check it against
+itself.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from ..core.legality import is_legal_schedule
+from ..core.schedule import ScheduleError
 from ..ir.basicblock import Trace
 from ..machine.model import MachineModel, single_unit_machine
+from ..sim.window import SimResult, simulate_trace
 
 
 class OutputError(AssertionError):
@@ -46,30 +51,31 @@ def check_runtime_legality(
     trace: Trace,
     block_orders: Sequence[Sequence[str]],
     machine: MachineModel | None = None,
-) -> None:
-    """The windowed execution of the emitted orders must satisfy Definition
-    2.3.  The emitted orders themselves are the legality witness — the
-    priority list the execution was greedily driven by — so the check is
-    exact even where the schedule's derived sub-permutations would not
-    reproduce it (cross-block overtakes, multi-unit issue ties)."""
-    from ..sim.window import simulate_trace
-
-    machine = machine or single_unit_machine()
-    sim = simulate_trace(trace, block_orders, machine)
-    if not is_legal_schedule(
-        trace, sim.schedule, machine, witness_orders=block_orders
-    ):
-        raise OutputError("windowed execution is not a legal schedule")
+) -> SimResult:
+    """Execute the emitted orders once, under the caller's fault plan if
+    one is installed, and return that execution once
+    :meth:`~repro.core.schedule.Schedule.validate` accepts it; a violated
+    dependence, latency or unit capacity raises :class:`OutputError`.  A
+    rejected stream or a deadlock propagates from the simulator."""
+    sim = simulate_trace(trace, block_orders, machine or single_unit_machine())
+    try:
+        sim.schedule.validate()
+    except ScheduleError as exc:
+        raise OutputError(
+            f"windowed execution is not a valid schedule: {exc}"
+        ) from exc
+    return sim
 
 
 def verify_scheduler_output(
     trace: Trace,
     block_orders: Sequence[Sequence[str]],
     machine: MachineModel | None = None,
-) -> None:
-    """All checks; raises :class:`OutputError` on the first failure."""
+) -> SimResult:
+    """All checks; raises :class:`OutputError` on the first failure and
+    returns the checked execution otherwise."""
     check_block_orders(trace, block_orders)
-    check_runtime_legality(trace, block_orders, machine)
+    return check_runtime_legality(trace, block_orders, machine)
 
 
 def check_sim_result(graph, result) -> None:

@@ -64,11 +64,11 @@ from .obs import TraceRecorder, recording
 from .obs.runreport import RunReport, compare_reports
 from .obs.export import (
     chrome_trace_path,
-    read_jsonl,
     sim_traces_from_records,
     write_chrome_trace,
     write_jsonl,
 )
+from .obs.pipeline import read_jsonl
 from .serve.tracebuf import WATERFALL_KIND, waterfall_text
 from .sim import simulate_loop_order, simulate_trace, simulated_initiation_interval
 
@@ -206,17 +206,28 @@ def _render_waterfalls(records: list[dict]) -> int:
     return 0
 
 
+def _trace_records(path: str) -> list[dict]:
+    """The records of a JSONL trace file.  Raises ``ValueError`` when the
+    file is missing, holds a torn or non-object line, or has no meta
+    record."""
+    if not Path(path).is_file():
+        raise ValueError(f"no such file {path}")
+    records = list(read_jsonl(path))
+    if None in records:
+        raise ValueError("a line is torn or not a JSON object")
+    if not any(r.get("type") == "meta" for r in records):
+        raise ValueError("no meta record")
+    return records
+
+
 def cmd_trace(args: argparse.Namespace) -> int:
     """Replay a recorded JSONL trace as a per-cycle timeline."""
     try:
-        records = read_jsonl(args.file)
-    except (OSError, ValueError) as exc:
+        records = _trace_records(args.file)
+    except ValueError as exc:
         print(f"error: not a repro trace file: {exc}", file=sys.stderr)
         return 2
-    meta = next((r for r in records if r.get("type") == "meta"), None)
-    if meta is None:
-        print("error: not a repro trace file (no meta record)", file=sys.stderr)
-        return 2
+    meta = next(r for r in records if r.get("type") == "meta")
     if meta.get("kind") == WATERFALL_KIND:
         # A request waterfall captured from the daemon's trace buffer
         # (/debug/traces?format=jsonl or smoke --waterfall): render the span
@@ -302,9 +313,7 @@ def _report_from_jsonl(path: str) -> tuple["RunReport", list]:
     from .obs.metrics import MetricsRegistry, sim_metrics
     from .obs.runreport import collect_provenance
 
-    records = read_jsonl(path)
-    if not any(r.get("type") == "meta" for r in records):
-        raise ValueError("no meta record")
+    records = _trace_records(path)
     sim_traces = sim_traces_from_records(records)
     registry = MetricsRegistry()
     for i, trace in enumerate(sim_traces):
@@ -325,16 +334,11 @@ def _report_from_jsonl(path: str) -> tuple["RunReport", list]:
 
 def cmd_report(args: argparse.Namespace) -> int:
     """Render a RunReport JSON or a recorded JSONL trace as a summary."""
-    try:
-        text = Path(args.file).read_text()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     # A RunReport is one (possibly pretty-printed) JSON document; a trace
-    # is JSONL whose first record is the meta line.
+    # is JSONL with a meta record.
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError:
+        doc = json.loads(Path(args.file).read_text())
+    except (OSError, ValueError):
         doc = None
     if isinstance(doc, dict) and doc.get("type") != "meta":
         try:
@@ -345,19 +349,11 @@ def cmd_report(args: argparse.Namespace) -> int:
         print(render_run_report(report, markdown=args.markdown))
         return 0
 
-    first_line = next((ln for ln in text.splitlines() if ln.strip()), "")
-    try:
-        first = json.loads(first_line)
-    except json.JSONDecodeError:
-        first = None
-    if not (isinstance(first, dict) and first.get("type") == "meta"):
-        print(f"error: {args.file} is neither a RunReport JSON nor a "
-              "repro trace file", file=sys.stderr)
-        return 2
     try:
         report, sim_traces = _report_from_jsonl(args.file)
-    except (OSError, ValueError) as exc:
-        print(f"error: not a repro trace file: {exc}", file=sys.stderr)
+    except ValueError as exc:
+        print(f"error: not a RunReport and not a repro trace file: {exc}",
+              file=sys.stderr)
         return 2
     print(render_run_report(report, markdown=args.markdown))
     for trace in sim_traces:

@@ -31,7 +31,6 @@ from .runreport import (
 from .export import (
     chrome_trace_events,
     chrome_trace_path,
-    read_jsonl,
     recorder_records,
     sim_traces_from_records,
     write_chrome_trace,
@@ -55,6 +54,7 @@ from .pipeline import (
     clear_spools,
     current_context,
     merge_spools,
+    read_jsonl,
     read_spools,
     spool_path,
     spooled_cell,

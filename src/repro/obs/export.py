@@ -88,17 +88,6 @@ def write_jsonl(path: str | Path, recorder: TraceRecorder) -> Path:
     return path
 
 
-def read_jsonl(path: str | Path) -> list[dict]:
-    """Parse a JSONL trace file back into its record dicts (blank lines
-    skipped)."""
-    records = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if line:
-            records.append(json.loads(line))
-    return records
-
-
 def records_to_recorder(records: list[dict]) -> TraceRecorder:
     """Rebuild a :class:`TraceRecorder` from parsed JSONL records — the
     inverse of :func:`recorder_records` (modulo the meta line).  Lets a

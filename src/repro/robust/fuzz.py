@@ -23,8 +23,11 @@ paper's safety argument promises:
   0/1 latencies) the anticipatory pipeline is never beaten by any other
   safe scheduler in the zoo (§4.1);
 - **guarded degradation** — :class:`~repro.robust.guard.GuardedScheduler`
-  run under each killing fault returns a verified fallback rather than an
-  error or an unverified order.
+  run under each killing fault (a corrupted stream, an injected deadlock)
+  returns a verified fallback rather than an error or an unverified order,
+  and under every other fault returns its primary path: only the simulator
+  consults a plan, and delay, window wobble or extra flushes leave the
+  execution it checks dependence- and resource-valid.
 
 Everything is seeded, so a passing (seed budget, corpus) pair passes
 forever — the CI ``chaos-smoke`` step runs a fixed budget and fails on the
@@ -308,7 +311,7 @@ def _guarded_cell(
 ) -> FuzzCell:
     """Run the guarded pipeline with ``plan`` injected during both
     scheduling and verification; it must come back verified, degrading
-    (with a counted reason) whenever the plan kills verification."""
+    (with a counted reason) exactly when the plan kills verification."""
     cell = FuzzCell(
         seed=seed, scheduler="guarded", fault=plan.name, status="ok"
     )
@@ -327,13 +330,17 @@ def _guarded_cell(
         cell.detail = f"guarded output not legal under clean re-check: {exc}"
         return cell
     kills_verification = plan.corrupts_stream or plan.deadlock_after is not None
-    if kills_verification and result.source != "fallback":
+    fell_back = result.source == "fallback"
+    if fell_back != kills_verification:
         cell.status = "violation"
         cell.detail = (
-            f"fault {plan.name!r} kills verification but the guard "
+            f"fault {plan.name!r} cannot fail verification but the guard "
+            f"fell back: {result.degraded.detail}"
+            if fell_back
+            else f"fault {plan.name!r} kills verification but the guard "
             f"returned the primary path"
         )
-    elif result.source == "fallback":
+    elif fell_back:
         cell.status = "degraded"
         cell.detail = f"fell back: {result.degraded.reason}"
     return cell

@@ -16,6 +16,8 @@ the compiler, not of the simulated adversity), and returns it together
 with a structured :class:`DegradedResult` diagnostic.  The fallback reason
 is also recorded as an obs counter (``guard.fallback`` and
 ``guard.fallback.<reason>``), so degradation shows up in run reports.
+The result carries the execution verification checked
+(:attr:`GuardedResult.sim`), so a caller need not simulate again.
 
 The scheduler never returns an unverified order: if even the fallback
 fails verification under clean conditions, :class:`GuardError` is raised
@@ -37,6 +39,7 @@ from ..core.lookahead import algorithm_lookahead, local_block_orders
 from ..ir.basicblock import Trace
 from ..machine.model import MachineModel, single_unit_machine
 from ..obs import recorder as obs
+from ..sim.window import SimResult, SimulationDeadlock
 from . import faults
 
 #: Degradation reasons a :class:`DegradedResult` may carry.
@@ -101,16 +104,19 @@ class GuardedResult:
     ``block_orders`` is always verified-legal.  ``source`` is
     ``"lookahead"`` for the primary path and ``"fallback"`` for the
     per-block rank order; ``degraded`` carries the diagnostic in the
-    latter case.  ``predicted_makespan`` is only available on the primary
-    path (the fallback makes no cross-block prediction).
+    latter case.  ``sim`` is the execution verification checked, in
+    ``verify_s`` seconds: made under the caller's fault plan on the primary
+    path, clean on the fallback path.  ``predicted_makespan`` is only
+    available on the primary path (the fallback makes no cross-block
+    prediction).
     """
 
-    trace: Trace
     block_orders: list[list[str]]
     source: str
+    sim: SimResult = field(repr=False)
+    verify_s: float = field(repr=False)
     degraded: DegradedResult | None = None
     predicted_makespan: int | None = None
-    verify_s: float = field(default=0.0, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -164,11 +170,6 @@ class GuardedScheduler:
         Maximum trace size (instruction count) the primary scheduler is
         attempted on; larger traces degrade immediately — the
         combinatorial-solver "budget and fall back" discipline.
-    verify:
-        Verify the primary result before returning it (strongly
-        recommended; the fallback is always verified).
-    delay_idles:
-        Forwarded to :func:`~repro.core.algorithm_lookahead`.
     primary:
         Override the primary scheduler (used by tests and the fuzz driver
         to inject broken/slow schedulers).  Must map ``(trace, machine)``
@@ -180,8 +181,6 @@ class GuardedScheduler:
         machine: MachineModel | None = None,
         time_budget_s: float | None = None,
         node_budget: int | None = None,
-        verify: bool = True,
-        delay_idles: bool = True,
         primary: Callable[[Trace, MachineModel], Sequence[Sequence[str]]]
         | None = None,
     ) -> None:
@@ -190,8 +189,6 @@ class GuardedScheduler:
         self.machine = machine or single_unit_machine()
         self.time_budget_s = time_budget_s
         self.node_budget = node_budget
-        self.verify = verify
-        self.delay_idles = delay_idles
         self.primary = primary
 
     # -- primary path -------------------------------------------------------
@@ -202,9 +199,7 @@ class GuardedScheduler:
         if self.primary is not None:
             orders = [list(o) for o in self.primary(trace, self.machine)]
             return orders, None
-        result = algorithm_lookahead(
-            trace, self.machine, delay_idles=self.delay_idles
-        )
+        result = algorithm_lookahead(trace, self.machine)
         return result.block_orders, result.predicted_makespan
 
     def schedule(
@@ -235,12 +230,10 @@ class GuardedScheduler:
             try:
                 with _time_limit(budget_s):
                     orders, predicted = self._run_primary(trace)
-                    verify_s = 0.0
-                    if self.verify:
-                        v0 = _time.perf_counter()
-                        with obs.span("guard.verify", source="lookahead"):
-                            verify_scheduler_output(trace, orders, self.machine)
-                        verify_s = _time.perf_counter() - v0
+                    v0 = _time.perf_counter()
+                    with obs.span("guard.verify", source="lookahead"):
+                        sim = verify_scheduler_output(trace, orders, self.machine)
+                    verify_s = _time.perf_counter() - v0
                 elapsed = _time.perf_counter() - started
                 if budget_s is not None and 0 < budget_s < elapsed:
                     raise GuardTimeout(
@@ -258,10 +251,7 @@ class GuardedScheduler:
                     elapsed_s=_time.perf_counter() - started,
                 )
             except Exception as exc:
-                # Injected or real simulator deadlocks get their own reason
-                # (imported lazily to keep this module's import graph thin).
-                from ..sim.window import SimulationDeadlock
-
+                # Injected or real simulator deadlocks get their own reason.
                 reason = (
                     "deadlock"
                     if isinstance(exc, SimulationDeadlock)
@@ -274,9 +264,9 @@ class GuardedScheduler:
 
             obs.count("guard.primary_ok")
             return GuardedResult(
-                trace=trace,
                 block_orders=orders,
                 source="lookahead",
+                sim=sim,
                 predicted_makespan=predicted,
                 verify_s=verify_s,
             )
@@ -299,7 +289,7 @@ class GuardedScheduler:
                 v0 = _time.perf_counter()
                 try:
                     with obs.span("guard.verify", source="fallback"):
-                        verify_scheduler_output(trace, orders, self.machine)
+                        sim = verify_scheduler_output(trace, orders, self.machine)
                 except OutputError as exc:
                     raise GuardError(
                         f"per-block fallback failed verification after "
@@ -307,9 +297,9 @@ class GuardedScheduler:
                     ) from exc
                 verify_s = _time.perf_counter() - v0
         return GuardedResult(
-            trace=trace,
             block_orders=orders,
             source="fallback",
+            sim=sim,
             degraded=degraded,
             verify_s=verify_s,
         )

@@ -122,7 +122,7 @@ class RequestTrace:
 
     def waterfall_records(self) -> list[dict]:
         """The trace as JSONL records (meta + spans) loadable by
-        :func:`repro.obs.export.read_jsonl` — the same schema ``repro
+        :func:`repro.obs.read_jsonl` — the same schema ``repro
         trace`` replays, tagged ``kind: request_waterfall`` so the CLI
         renders a per-span waterfall instead of aggregate phase tables."""
         meta = {

@@ -1,5 +1,6 @@
 """The service's compute kernel: schedule one request under the robust
-guard, ground-truth it in the window simulator, return plain data.
+guard, answer from the window-simulator execution the guard verified,
+return plain data.
 
 :func:`compute_request` takes a JSON-able wire document and returns a
 JSON-able dict, so it can run in the long-lived workers of a
@@ -14,10 +15,11 @@ returns (the bit-identity contract with direct library calls is
 untouched), but a budget blowout, crash-adjacent exception or verifier
 rejection degrades to the verified always-legal per-block fallback, and
 the result dict carries a ``"degraded"`` diagnostic the service surfaces
-on the response and keeps out of the cache.  The guard's time budget is
-the smaller of the service's worker budget (bound into the pool's
-callable with :func:`functools.partial`) and the request's remaining
-``deadline_ms``.
+on the response and keeps out of the cache.  The answer's simulation is
+the guard's verified execution, so a miss simulates once.  The guard's
+time budget is the smaller of the service's worker budget (bound into the
+pool's callable with :func:`functools.partial`) and the request's
+remaining ``deadline_ms``.
 
 Fault hooks: the service sends the installed
 :class:`~repro.robust.faults.FaultPlan` with each request; its serving
@@ -46,7 +48,6 @@ from ..schedulers import (
     critical_path_priority,
     source_order_priority,
 )
-from ..sim import simulate_trace
 from .protocol import ScheduleRequest
 
 
@@ -110,7 +111,8 @@ def compute_schedule(
     time_budget_s: float | None = None,
     node_budget: int | None = None,
 ) -> dict:
-    """Schedule + simulate one decoded request under the guard.
+    """Schedule one decoded request under the guard and answer from the
+    execution the guard verified.
 
     The returned dict is the full uncached answer: emitted block orders,
     the simulated makespan / stall count, the runtime schedule's start
@@ -120,7 +122,8 @@ def compute_schedule(
     block — pid, per-phase wall times, the request's trace id — that rides
     back through the pool pickle so the service can graft worker spans
     into the request's span tree even when spooling is off, and (only when
-    the guard fell back) a ``"degraded"`` diagnostic dict.
+    the guard fell back) a ``"degraded"`` diagnostic dict.  The
+    ``simulate`` phase is the guard's verification, ``schedule`` the rest.
 
     ``primary_delay_s`` injects a sleep *inside* the guarded primary —
     the plan's slow-scheduler fault; the guard's budget is the
@@ -147,14 +150,12 @@ def compute_schedule(
             trace_id=request.trace_id,
         ):
             guarded = guard.schedule(request.trace)
-        orders = guarded.block_orders
-        t1 = time.perf_counter_ns()
-        with obs.span("serve.worker.simulate", trace_id=request.trace_id):
-            sim = simulate_trace(request.trace, orders, request.machine)
-        t2 = time.perf_counter_ns()
+        elapsed_ns = time.perf_counter_ns() - t0
+    verify_ns = round(guarded.verify_s * 1e9)
+    sim = guarded.sim
     schedule = sim.schedule
     out = {
-        "block_orders": [list(o) for o in orders],
+        "block_orders": [list(o) for o in guarded.block_orders],
         "makespan": sim.makespan,
         "stall_cycles": sim.stall_cycles,
         "starts": dict(schedule.starts),
@@ -165,8 +166,8 @@ def compute_schedule(
             "trace_id": request.trace_id,
             "start_ns": t0,
             "phases": {
-                "schedule_ns": t1 - t0,
-                "simulate_ns": t2 - t1,
+                "schedule_ns": elapsed_ns - verify_ns,
+                "simulate_ns": verify_ns,
             },
         },
     }

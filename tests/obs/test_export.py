@@ -34,7 +34,7 @@ class TestJsonl:
     def test_round_trip(self, tmp_path):
         rec, result = _record_run()
         path = write_jsonl(tmp_path / "t.jsonl", rec)
-        records = read_jsonl(path)
+        records = list(read_jsonl(path))
         types = {r["type"] for r in records}
         assert {"meta", "span", "counter", "sim_trace", "sim"} <= types
         meta = records[0]
@@ -48,7 +48,7 @@ class TestJsonl:
 
     def test_sim_trace_header_carries_stall_count(self, tmp_path):
         rec, result = _record_run()
-        records = read_jsonl(write_jsonl(tmp_path / "t.jsonl", rec))
+        records = list(read_jsonl(write_jsonl(tmp_path / "t.jsonl", rec)))
         header = next(r for r in records if r["type"] == "sim_trace")
         assert header["stall_cycles"] == result.stall_cycles
         assert header["window_size"] == 2

@@ -10,13 +10,15 @@ from repro.analysis.verify import verify_scheduler_output
 from repro.core import local_block_orders
 from repro.machine import paper_machine
 from repro.obs import TraceRecorder, recording
-from repro.robust.faults import FaultPlan, injection
+from repro.robust.faults import FaultPlan, default_fault_plans, injection
 from repro.robust.guard import (
     FALLBACK_REASONS,
     DegradedResult,
     GuardedScheduler,
     GuardError,
 )
+from repro.sim import simulate_trace
+from repro.workloads.traces import random_trace
 
 TWO_BLOCK = """
 block top
@@ -52,6 +54,20 @@ def _illegal_primary(trace, machine):
     return local_block_orders(trace, machine)[:-1]
 
 
+def _fuzz_shape(seed):
+    """The trace and machine ``repro fuzz`` schedules for ``seed``."""
+    trace = random_trace(
+        3, (4, 7), edge_probability=0.3, cross_probability=0.1, seed=seed
+    )
+    return trace, paper_machine((2, 3, 4, 6)[seed % 4])
+
+
+def _mispredict_storm(seed):
+    return next(
+        p for p in default_fault_plans(seed) if p.name == "mispredict_storm"
+    )
+
+
 class TestPrimaryPath:
     def test_success_returns_lookahead(self, trace, machine):
         result = GuardedScheduler(machine=machine).schedule(trace)
@@ -67,6 +83,34 @@ class TestPrimaryPath:
         assert rec.counters.get("guard.primary_ok") == 1
         assert rec.counters.get("guard.schedule") == 1
         assert "guard.fallback" not in rec.counters
+
+
+class TestVerifiedExecution:
+    @pytest.mark.parametrize("seed", range(16))
+    def test_mispredict_storm_keeps_the_primary_path(self, seed):
+        # Extra flush barriers delay the execution but cannot make it
+        # invalid, so verification must accept the orders.
+        trace, machine = _fuzz_shape(seed)
+        with injection(_mispredict_storm(seed)):
+            result = GuardedScheduler(machine=machine).schedule(trace)
+        assert result.source == "lookahead", result.degraded
+        verify_scheduler_output(trace, result.block_orders, machine)
+
+    def test_primary_sim_is_made_under_the_callers_plan(self):
+        trace, machine = _fuzz_shape(0)
+        with injection(_mispredict_storm(0)):
+            result = GuardedScheduler(machine=machine).schedule(trace)
+            faulted = simulate_trace(trace, result.block_orders, machine)
+        clean = simulate_trace(trace, result.block_orders, machine)
+        assert result.sim.schedule.starts == faulted.schedule.starts
+        assert result.sim.makespan > clean.makespan
+
+    def test_fallback_sim_is_clean(self, trace, machine):
+        with injection(FaultPlan(name="dl", deadlock_after=0)):
+            result = GuardedScheduler(machine=machine).schedule(trace)
+        assert result.source == "fallback"
+        clean = simulate_trace(trace, result.block_orders, machine)
+        assert result.sim.schedule.starts == clean.schedule.starts
 
 
 class TestDegradedPaths:

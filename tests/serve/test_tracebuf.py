@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs.export import read_jsonl
+from repro.obs import read_jsonl
 from repro.obs.recorder import SpanRecord
 from repro.serve.tracebuf import (
     RequestTrace,

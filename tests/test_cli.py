@@ -233,6 +233,24 @@ class TestTrace:
         assert main(["trace", prog]) == 2
         assert "not a repro trace" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad_line", ['{"type": "span", "na', "[1, 2]"])
+    def test_torn_or_non_object_line_is_rejected(
+        self, prog, tmp_path, capsys, bad_line
+    ):
+        jsonl = tmp_path / "run.jsonl"
+        assert main(["schedule", prog, "-w", "2", "--trace", str(jsonl)]) == 0
+        with jsonl.open("a") as fh:
+            fh.write(bad_line + "\n")
+        capsys.readouterr()
+        for command in ("trace", "report"):
+            assert main([command, str(jsonl)]) == 2
+            assert "not a repro trace file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["trace", "report"])
+    def test_missing_file_is_rejected(self, tmp_path, capsys, command):
+        assert main([command, str(tmp_path / "absent.jsonl")]) == 2
+        assert "not a repro trace file" in capsys.readouterr().err
+
     def test_trace_renders_request_waterfall(self, tmp_path, capsys):
         from repro.machine.presets import PAPER_CORE
         from repro.serve.protocol import ScheduleRequest
