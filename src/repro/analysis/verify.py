@@ -47,17 +47,10 @@ def check_block_orders(trace: Trace, block_orders: Sequence[Sequence[str]]) -> N
                 )
 
 
-def check_runtime_legality(
-    trace: Trace,
-    block_orders: Sequence[Sequence[str]],
-    machine: MachineModel | None = None,
-) -> SimResult:
-    """Execute the emitted orders once, under the caller's fault plan if
-    one is installed, and return that execution once
-    :meth:`~repro.core.schedule.Schedule.validate` accepts it; a violated
-    dependence, latency or unit capacity raises :class:`OutputError`.  A
-    rejected stream or a deadlock propagates from the simulator."""
-    sim = simulate_trace(trace, block_orders, machine or single_unit_machine())
+def check_execution(sim: SimResult) -> SimResult:
+    """Return ``sim`` once :meth:`~repro.core.schedule.Schedule.validate`
+    accepts its schedule; a violated dependence, latency or unit capacity
+    raises :class:`OutputError`."""
     try:
         sim.schedule.validate()
     except ScheduleError as exc:
@@ -65,6 +58,20 @@ def check_runtime_legality(
             f"windowed execution is not a valid schedule: {exc}"
         ) from exc
     return sim
+
+
+def check_runtime_legality(
+    trace: Trace,
+    block_orders: Sequence[Sequence[str]],
+    machine: MachineModel | None = None,
+) -> SimResult:
+    """Execute the emitted orders once, under the caller's fault plan if
+    one is installed, and return that execution once
+    :func:`check_execution` accepts it.  A rejected stream or a deadlock
+    propagates from the simulator."""
+    return check_execution(
+        simulate_trace(trace, block_orders, machine or single_unit_machine())
+    )
 
 
 def verify_scheduler_output(

@@ -69,6 +69,7 @@ from .obs.export import (
     write_jsonl,
 )
 from .obs.pipeline import read_jsonl
+from .schedulers.table import SCHEDULERS
 from .serve.tracebuf import WATERFALL_KIND, waterfall_text
 from .sim import simulate_loop_order, simulate_trace, simulated_initiation_interval
 
@@ -98,11 +99,7 @@ def _load_trace(path: str):
 def cmd_schedule(args: argparse.Namespace) -> int:
     trace = _load_trace(args.file)
     machine = _machine(args)
-    # Shared dispatch table with the serving daemon (repro.serve.worker),
-    # so `repro serve` can never drift from `repro schedule`.
-    from .serve.worker import compute_block_orders
-
-    orders = compute_block_orders(trace, machine, args.scheduler)
+    orders = SCHEDULERS[args.scheduler](trace, machine)
     for bb, order in zip(trace.blocks, orders):
         print(f"{bb.name}: {' '.join(order)}")
     # --trace implies a simulation: cycle-level events only exist at runtime.
@@ -206,10 +203,21 @@ def _render_waterfalls(records: list[dict]) -> int:
     return 0
 
 
+#: Per record type, the fields ``repro trace`` and ``repro report`` read
+#: without a default, and the types they read them as.
+_RECORD_FIELDS = {
+    "span": {"name": str, "start_us": (int, float), "dur_us": (int, float)},
+    "counter": {"name": str, "value": (int, float)},
+    "sim_trace": {"index": int, "window_size": int, "instructions": int},
+    "sim": {"cycle": int, "kind": str},
+}
+
+
 def _trace_records(path: str) -> list[dict]:
     """The records of a JSONL trace file.  Raises ``ValueError`` when the
-    file is missing, holds a torn or non-object line, or has no meta
-    record."""
+    file is missing, holds a torn or non-object line, has no meta record,
+    or has a record that lacks a field the commands read (or holds it with
+    the wrong type)."""
     if not Path(path).is_file():
         raise ValueError(f"no such file {path}")
     records = list(read_jsonl(path))
@@ -217,6 +225,10 @@ def _trace_records(path: str) -> list[dict]:
         raise ValueError("a line is torn or not a JSON object")
     if not any(r.get("type") == "meta" for r in records):
         raise ValueError("no meta record")
+    for r in records:
+        for name, types in _RECORD_FIELDS.get(str(r.get("type")), {}).items():
+            if not isinstance(r.get(name), types):
+                raise ValueError(f"a {r['type']} record has no valid {name!r} field")
     return records
 
 
@@ -872,7 +884,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument(
         "--scheduler",
-        choices=["anticipatory", "local", "critical-path", "source"],
+        choices=list(SCHEDULERS),
         default="anticipatory",
     )
     p.add_argument("--simulate", action="store_true",

@@ -6,10 +6,11 @@ increasing the makespan — is the paper's key enabling idea: a late idle slot
 can be filled at runtime by an instruction of the *next* basic block sitting
 in the hardware lookahead window.
 
-State model.  Deadlines are the single source of truth; ranks are always
-recomputed from the current deadlines (rank computation commutes with uniform
-deadline shifts, so this matches the paper's "decrement every deadline, and
-consequently every rank").  Each call to :func:`move_idle_slot`:
+State model.  A :class:`~repro.core.rank.RankEngine` holds the deadlines and
+their ranks, re-ranked after every deadline change (rank computation commutes
+with uniform deadline shifts, so this matches the paper's "decrement every
+deadline, and consequently every rank"); the deadline maps returned are
+copies of its map.  Each call to :func:`move_idle_slot`:
 
 1. clamps the deadlines of the nodes in the u-set σᵢ (scheduled between the
    previous idle slot and tᵢ) to tᵢ — the paper's "this step insures that idle
@@ -37,13 +38,7 @@ from dataclasses import dataclass
 
 from ..machine.model import MachineModel, single_unit_machine
 from ..obs import recorder as obs
-from .rank import (
-    RankEngine,
-    compute_ranks,
-    default_deadline,
-    fill_deadlines,
-    rank_schedule,
-)
+from .rank import RankEngine, default_deadline, fill_deadlines, rank_schedule
 from .schedule import SINGLE_UNIT, Schedule, Unit
 
 
@@ -73,15 +68,15 @@ def move_idle_slot(
     Returns the new schedule and deadline map on success; the input schedule
     (with σᵢ deadline clamps retained) on failure.  ``deadlines`` must cover
     every node (see :func:`repro.core.rank.fill_deadlines`); it is not
-    mutated — updated copies are returned.
+    mutated — the map returned is a copy of the engine's.
 
-    ``engine`` is the incremental fast path: a :class:`RankEngine` whose
-    deadline state equals ``deadlines`` on entry.  Each trial then updates
-    ranks only for the changed node and its ancestors instead of running two
-    full rank computations; on exit the engine's state equals the returned
-    deadline map (on failure, restored from a snapshot taken after the
-    clamps and before the first tail reduction).  Results are bit-identical
-    with and without an engine.
+    ``engine`` is a :class:`RankEngine` whose deadlines equal ``deadlines``
+    on entry; without one, a fresh engine is built with one
+    :func:`~repro.core.rank.compute_ranks`.  Each trial re-ranks only the
+    changed node and its ancestors, and schedules with
+    :meth:`RankEngine.schedule`.  On exit the engine's deadlines equal the
+    returned map (on failure, restored from a snapshot taken after the
+    clamps and before the first tail reduction).
     """
     machine = machine or single_unit_machine()
     graph = schedule.graph
@@ -90,6 +85,8 @@ def move_idle_slot(
         return IdleMoveResult(schedule, dict(deadlines), None, False)
     t_i = times[index]
     prev_t = times[index - 1] if index > 0 else -1
+    if engine is None:
+        engine = RankEngine(graph, deadlines, machine)
 
     # Step 1: clamp σᵢ deadlines to tᵢ; the engine hears only those lowered.
     # (Nodes starting at prev_t + 0 == 0 when index == 0 are covered by
@@ -97,43 +94,32 @@ def move_idle_slot(
     lowered = {
         n: t_i
         for n, t in schedule.starts.items()
-        if prev_t < t < t_i and schedule.units[n] == unit and deadlines[n] > t_i
+        if prev_t < t < t_i and schedule.units[n] == unit and engine.deadlines[n] > t_i
     }
-    clamped = {**deadlines, **lowered}
-    if engine is not None and lowered:
+    if lowered:
         engine.set_deadlines(lowered)
 
     current = schedule
-    trial = dict(clamped)
     saved = None  # the engine's state before the first tail reduction
     for _ in range(len(graph) + 1):
         tail = current.tail_node(t_i, unit)
         if tail is None:
             break  # nothing ends at the slot: cannot push it later
         obs.count("idle.trials")
-        ranks = engine.ranks if engine is not None else compute_ranks(
-            graph, trial, machine
-        )
-        if ranks[tail] < t_i:
+        if engine.ranks[tail] < t_i:
             break  # paper's guard: no node in σᵢ can still complete at tᵢ
-        trial[tail] = t_i - 1
-        if engine is not None:
-            if saved is None:
-                saved = engine.snapshot()
-            engine.set_deadlines({tail: t_i - 1})
-            new_sched, _ = rank_schedule(
-                graph, trial, machine, ranks=engine.ranks
-            )
-        else:
-            new_sched, _ = rank_schedule(graph, trial, machine)
+        if saved is None:
+            saved = engine.snapshot()
+        engine.set_deadlines({tail: t_i - 1})
+        new_sched = engine.schedule()
         if new_sched is None:
             break  # rank_alg cannot meet all deadlines
         new_times = new_sched.idle_times(unit)
         if index >= len(new_times):
-            return IdleMoveResult(new_sched, trial, None, True)
+            return IdleMoveResult(new_sched, dict(engine.deadlines), None, True)
         t_new = new_times[index]
         if t_new > t_i:
-            return IdleMoveResult(new_sched, trial, t_new, True)
+            return IdleMoveResult(new_sched, dict(engine.deadlines), t_new, True)
         if t_new < t_i:
             # The clamps are meant to rule this out, but with sibling units
             # of a class the trial's list schedule can move a node between
@@ -144,7 +130,7 @@ def move_idle_slot(
     # Failure: undo the tail reductions, keep the clamps, return input.
     if saved is not None:
         engine.restore(saved)
-    return IdleMoveResult(schedule, clamped, t_i, False)
+    return IdleMoveResult(schedule, dict(engine.deadlines), t_i, False)
 
 
 def delay_idle_slots(
@@ -153,19 +139,17 @@ def delay_idle_slots(
     machine: MachineModel | None = None,
     unit: Unit = SINGLE_UNIT,
     engine: RankEngine | None = None,
-    incremental: bool = True,
 ) -> tuple[Schedule, dict[str, int]]:
     """Procedure Delay_Idle_Slots (Fig. 6): process idle slots earliest to
     latest, repeatedly delaying each one until it no longer moves.
 
     Returns the final schedule and the finalized deadline map.
 
-    ``engine`` optionally carries incremental rank state whose deadlines
-    equal the filled ``deadlines`` on entry (its state tracks the returned
-    map on exit); with ``engine=None`` and ``incremental=True`` (default) a
-    fresh engine is built with a single from-scratch rank computation.
-    ``incremental=False`` forces the original two-full-recomputations-per-
-    trial path — the oracle the fast path is fuzzed against.
+    ``engine`` optionally carries rank state whose deadlines equal the
+    filled ``deadlines`` on entry; without one, a fresh engine is built
+    with one :func:`~repro.core.rank.compute_ranks`.  Every
+    :func:`move_idle_slot` call re-ranks through it, and on exit its
+    deadlines equal the returned map.
     """
     machine = machine or single_unit_machine()
     d = fill_deadlines(schedule.graph, deadlines)
@@ -174,7 +158,7 @@ def delay_idle_slots(
     times = schedule.idle_times(unit)
     if not times:
         return schedule, d
-    if engine is None and incremental:
+    if engine is None:
         engine = RankEngine(schedule.graph, d, machine)
     with obs.span(
         "delay_idle_slots",
@@ -222,10 +206,6 @@ def schedule_block_with_late_idle_slots(
     d = makespan_deadlines(sched)
     # Reducing every deadline to the makespan is a uniform shift, which
     # commutes with ranks — seed the engine for free from the ranks we have.
-    engine = None
-    if graph.nodes:
-        delta = sched.makespan - default_deadline(graph)
-        engine = RankEngine(
-            graph, d, machine, ranks={n: r + delta for n, r in ranks.items()}
-        )
+    engine = RankEngine(graph, None, machine, ranks=ranks)
+    engine.shift(sched.makespan - default_deadline(graph))
     return delay_idle_slots(sched, d, machine, unit, engine=engine)

@@ -94,7 +94,6 @@ def algorithm_lookahead(
     trace: Trace,
     machine: MachineModel | None = None,
     delay_idles: bool = True,
-    incremental: bool = True,
 ) -> LookaheadResult:
     """Run Algorithm Lookahead on ``trace`` for ``machine`` (its
     ``window_size`` is the W of the paper).
@@ -103,11 +102,9 @@ def algorithm_lookahead(
     switch for measuring the contribution of the paper's key idea (the merge
     deadline discipline remains active).
 
-    ``incremental=False`` disables the :class:`~repro.core.rank.RankEngine`
-    fast path everywhere (merge lower bound, merge relaxation loop, idle-slot
-    trials), falling back to from-scratch rank computations.  Output is
-    bit-identical either way; the flag exists as the oracle for fuzz tests
-    and as an escape hatch.
+    One pair of :class:`~repro.core.rank.RankEngine` chains
+    (:class:`~repro.core.merge.MergeCarry`) supplies every rank the merges
+    and idle-slot trials use, carried from block to block.
     """
     machine = machine or single_unit_machine()
     window = machine.window_size
@@ -118,7 +115,7 @@ def algorithm_lookahead(
     steps: list[LookaheadStep] = []
     offset = 0
     suffix: Schedule | None = None
-    carry = MergeCarry(machine=machine) if incremental else None
+    carry = MergeCarry(machine=machine)
 
     with obs.span("lookahead", blocks=trace.num_blocks, window=window):
         for bb in trace.blocks:
@@ -142,11 +139,9 @@ def algorithm_lookahead(
                             machine,
                             unit=unit,
                             engine=merged.engine,
-                            incremental=incremental,
                         )
                 result = chop(delayed, deadlines, window)
-                if carry is not None:
-                    carry.shift = result.shift
+                carry.shift = result.shift
                 steps.append(
                     LookaheadStep(
                         block=bb.name,

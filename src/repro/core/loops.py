@@ -253,7 +253,9 @@ def schedule_loop_trace(
         list(clone_of.values()),
         machine,
     )
-    delayed, _ = delay_idle_slots(merged.schedule, merged.deadlines, machine)
+    delayed, _ = delay_idle_slots(
+        merged.schedule, merged.deadlines, machine, engine=merged.engine
+    )
 
     # Re-derive the real blocks' orders from committed prefix + new suffix.
     clone_set = set(clone_of.values())

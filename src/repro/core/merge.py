@@ -30,8 +30,6 @@ from .rank import (
     list_schedule,
     minimum_makespan_schedule,
     rank_priority_list,
-    rank_schedule,
-    rank_schedule_lenient,
 )
 from .schedule import Schedule
 
@@ -77,10 +75,10 @@ class MergeResult:
     #: False when even the fallback deadline failed and a lenient best-effort
     #: schedule was accepted (only possible in heuristic machine models).
     feasible: bool
-    #: Rank engine whose state matches ``deadlines`` over the merged graph —
-    #: populated when a :class:`MergeCarry` was supplied, for reuse by the
-    #: idle-slot delaying that follows.
-    engine: RankEngine | None = field(default=None, repr=False, compare=False)
+    #: Rank engine over the merged graph whose deadlines ``deadlines`` is a
+    #: copy of, for reuse by the idle-slot delaying that follows (it is also
+    #: ``carry.constrained``).
+    engine: RankEngine = field(repr=False, compare=False)
 
 
 def merge(
@@ -98,11 +96,16 @@ def merge(
     edges from old to new); ``old_deadlines`` are the deadlines carried by the
     old suffix (already shifted by chop); ``old_makespan`` is T_old.
 
-    ``carry`` enables the incremental fast path: rank state is reused from
-    the previous merge (see :class:`MergeCarry`) and updated in place for
-    the next one; results are bit-identical with and without it.
+    Every rank map comes from a :class:`~repro.core.rank.RankEngine`.
+    ``carry`` threads the engines from the previous merge (see
+    :class:`MergeCarry`) and is updated in place for the next one; without
+    it a fresh carry is made, and each engine starts with one
+    :func:`~repro.core.rank.compute_ranks`.  Results are the same either
+    way.
     """
     machine = machine or single_unit_machine()
+    if carry is None:
+        carry = MergeCarry(machine=machine)
     old_list = list(old_nodes)
     new_list = list(new_nodes)
     overlap = set(old_list) & set(new_list)
@@ -122,48 +125,40 @@ def _merge(
     old_deadlines: Mapping[str, int],
     old_makespan: int,
     machine: MachineModel,
-    carry: MergeCarry | None = None,
+    carry: MergeCarry,
 ) -> MergeResult:
     cur = trace_graph.subgraph(old_list + new_list)
 
-    # Pass 1: lower bound with the artificial deadline only.
-    if carry is not None:
-        artificial = default_deadline(cur)
-        if carry.uniform is None:
-            carry.uniform = RankEngine(cur, None, machine)
-        else:
-            carry.uniform = carry.uniform.carried_into(
-                cur, shift=artificial - carry.uniform_value, fill=artificial
-            )
-        carry.uniform_value = artificial
-        unconstrained = list_schedule(
-            cur, rank_priority_list(cur, carry.uniform.ranks), machine
-        )
-        lower = unconstrained.makespan
+    # Pass 1: lower bound with the artificial deadline only, which no greedy
+    # schedule misses.
+    artificial = default_deadline(cur)
+    if carry.uniform is None:
+        carry.uniform = RankEngine(cur, None, machine)
     else:
-        lower = minimum_makespan_schedule(cur, machine).makespan
+        carry.uniform = carry.uniform.carried_into(
+            cur, shift=artificial - carry.uniform_value, fill=artificial
+        )
+    carry.uniform_value = artificial
+    lower = carry.uniform.schedule().makespan
 
-    deadlines: dict[str, int] = {}
-    for w in old_list:
-        deadlines[w] = min(old_deadlines.get(w, old_makespan), old_makespan)
+    deadlines = {
+        w: min(old_deadlines.get(w, old_makespan), old_makespan) for w in old_list
+    }
     new_deadline = lower
-    for w in new_list:
-        deadlines[w] = new_deadline
+    deadlines.update(dict.fromkeys(new_list, new_deadline))
 
-    engine: RankEngine | None = None
-    if carry is not None:
-        if carry.constrained is None:
-            engine = RankEngine(cur, deadlines, machine)
-        else:
-            # Old nodes carry their post-delay deadlines shifted by chop;
-            # set_deadlines then applies only the (rare) binding T_old
-            # clamps as an incremental diff.
-            engine = carry.constrained.carried_into(
-                cur, shift=-carry.shift, fill=new_deadline
-            )
-            engine.set_deadlines(deadlines)
-        carry.constrained = engine
-        carry.shift = 0
+    if carry.constrained is None:
+        engine = RankEngine(cur, deadlines, machine)
+    else:
+        # Old nodes carry their post-delay deadlines shifted by chop;
+        # set_deadlines then applies only the (rare) binding T_old clamps
+        # as an incremental diff.
+        engine = carry.constrained.carried_into(
+            cur, shift=-carry.shift, fill=new_deadline
+        )
+        engine.set_deadlines(deadlines)
+    carry.constrained = engine
+    carry.shift = 0
 
     # A deadline that is always sufficient in the optimal regime: schedule old
     # alone (feasible by construction of its deadlines), then new strictly
@@ -173,13 +168,10 @@ def _merge(
 
     relaxations = 0
     while True:
-        if engine is not None:
-            sched, _ = rank_schedule(cur, deadlines, machine, ranks=engine.ranks)
-        else:
-            sched, _ = rank_schedule(cur, deadlines, machine)
+        sched = engine.schedule()
         if sched is not None:
-            return MergeResult(sched, deadlines, lower, relaxations, True,
-                               engine=engine)
+            return MergeResult(sched, dict(engine.deadlines), lower,
+                               relaxations, True, engine=engine)
         if fallback is None:
             max_lat = max((lat for _, _, lat in cur.edges()), default=0)
             new_alone = (
@@ -192,20 +184,14 @@ def _merge(
             break  # heuristic regime: give up on exact deadline search
         new_deadline += 1
         relaxations += 1
-        for w in new_list:
-            deadlines[w] = new_deadline
-        if engine is not None:
-            engine.set_deadlines({w: new_deadline for w in new_list})
+        engine.set_deadlines(dict.fromkeys(new_list, new_deadline))
 
-    # Best-effort fallback: accept the greedy rank schedule and rewrite the
-    # new nodes' deadlines to its completion times so downstream phases see a
-    # consistent (self-feasible) state.
-    sched, _, _ = rank_schedule_lenient(cur, deadlines, machine)
-    for w in new_list:
-        deadlines[w] = max(deadlines[w], sched.completion(w))
-    for w in old_list:
-        deadlines[w] = max(deadlines[w], sched.completion(w))
-    if engine is not None:
-        engine.set_deadlines(deadlines)  # resync after the rewrite
-    return MergeResult(sched, deadlines, lower, relaxations, False,
-                       engine=engine)
+    # Best-effort fallback: accept the greedy rank schedule and raise every
+    # deadline it misses to the node's completion time, so downstream phases
+    # see a consistent (self-feasible) state.
+    sched = list_schedule(cur, rank_priority_list(cur, engine.ranks), machine)
+    engine.set_deadlines({
+        w: max(d, sched.completion(w)) for w, d in engine.deadlines.items()
+    })
+    return MergeResult(sched, dict(engine.deadlines), lower, relaxations,
+                       False, engine=engine)

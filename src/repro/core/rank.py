@@ -259,8 +259,9 @@ class RankEngine:
     over that affected set, in reverse topological order, additionally
     skipping any affected node none of whose descendants actually changed
     rank.  The result is always bit-identical to a from-scratch
-    :func:`compute_ranks` on the current deadlines (fuzzed in
-    ``tests/core/test_rank_fastpath.py``).
+    :func:`compute_ranks` on the current deadlines
+    (``tests/core/test_rank_fastpath.py`` checks it after every engine call
+    the pipeline makes).
 
     Two further fast paths exploit that ranks commute with uniform deadline
     shifts (rank(d + c) = rank(d) + c — the placement algorithm is
@@ -321,6 +322,17 @@ class RankEngine:
     def ranks(self) -> dict[str, int]:
         """The current rank map (live — treat as read-only)."""
         return self._ranks
+
+    def schedule(self) -> Schedule | None:
+        """The Rank Algorithm's schedule under the current deadlines, from
+        the engine's own ranks (ties in program order), or None at the first
+        node that misses its deadline, as :func:`rank_schedule`."""
+        return list_schedule(
+            self.graph,
+            rank_priority_list(self.graph, self._ranks),
+            self.machine,
+            self._deadlines,
+        )
 
     def set_deadlines(self, updates: Mapping[str, int]) -> None:
         """Apply deadline changes and incrementally restore rank
@@ -586,8 +598,6 @@ def rank_schedule(
     deadlines: Mapping[str, int] | None = None,
     machine: MachineModel | None = None,
     tie_break: str = "program",
-    *,
-    ranks: Mapping[str, int] | None = None,
 ) -> tuple[Schedule | None, dict[str, int]]:
     """The full Rank Algorithm: ranks → priority list → greedy schedule.
 
@@ -597,22 +607,13 @@ def rank_schedule(
     optimal regime (unit times, 0/1 latencies, single unit) the instance is
     feasible iff the returned schedule is not None, and the schedule has
     minimum makespan among deadline-feasible ones.  See
-    :func:`rank_priority_list` for the ``tie_break`` caveat.
-
-    ``ranks`` is the fast path for callers that already hold the ranks of
-    the *current* deadline map (typically a :class:`RankEngine`): the rank
-    computation is skipped entirely.  The caller is responsible for the
-    ranks actually matching ``deadlines`` — a mismatch silently produces a
-    schedule for the wrong priority list.
+    :func:`rank_priority_list` for the ``tie_break`` caveat.  A caller
+    that re-schedules after deadline changes keeps a :class:`RankEngine`
+    and calls :meth:`RankEngine.schedule` instead.
     """
     machine = machine or single_unit_machine()
     full = fill_deadlines(graph, deadlines)
-    if ranks is None:
-        ranks = compute_ranks(graph, full, machine)
-    else:
-        ranks = dict(ranks)
-    if not graph.nodes:
-        return Schedule(graph, {}), ranks
+    ranks = compute_ranks(graph, full, machine)
     sched = list_schedule(
         graph, rank_priority_list(graph, ranks, tie_break), machine, full
     )
@@ -641,7 +642,5 @@ def rank_schedule_lenient(
     machine = machine or single_unit_machine()
     full = fill_deadlines(graph, deadlines)
     ranks = compute_ranks(graph, full, machine)
-    if not graph.nodes:
-        return Schedule(graph, {}), ranks, True
     sched = list_schedule(graph, rank_priority_list(graph, ranks), machine)
     return sched, ranks, sched.is_feasible(full)

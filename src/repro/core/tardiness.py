@@ -21,7 +21,7 @@ from typing import Mapping
 
 from ..ir.depgraph import DependenceGraph
 from ..machine.model import MachineModel, single_unit_machine
-from .rank import fill_deadlines, rank_schedule, rank_schedule_lenient
+from .rank import RankEngine, fill_deadlines, rank_schedule_lenient
 from .schedule import Schedule
 
 
@@ -48,25 +48,25 @@ def minimize_tardiness(
     """
     machine = machine or single_unit_machine()
     base = fill_deadlines(graph, deadlines)
-    if not graph.nodes:
-        return TardinessResult(Schedule(graph, {}), 0, True)
 
     # Upper bound: the tardiness of the plain greedy rank schedule.  Its
-    # ranks are reused for every probe: ``base + L`` is a uniform shift of
-    # ``base``, and ranks commute with uniform deadline shifts, so the search
-    # needs exactly one rank computation total.
+    # ranks seed an engine for every probe: ``base + L`` is a uniform shift
+    # of ``base``, and ranks commute with uniform deadline shifts
+    # (:meth:`RankEngine.shift`), so the search needs exactly one rank
+    # computation total.
     lenient, base_ranks, feasible = rank_schedule_lenient(graph, base, machine)
     if feasible:
         return TardinessResult(lenient, 0, True)
+    engine = RankEngine(graph, base, machine, ranks=base_ranks)
     hi = lenient.tardiness(base)
     lo = 0
     best = lenient
     best_l = hi
 
     def probe(shift: int) -> Schedule | None:
-        relaxed = {n: base[n] + shift for n in base}
-        shifted = {n: r + shift for n, r in base_ranks.items()}
-        sched, _ = rank_schedule(graph, relaxed, machine, ranks=shifted)
+        engine.shift(shift)
+        sched = engine.schedule()
+        engine.shift(-shift)
         return sched
 
     while lo < hi:

@@ -8,10 +8,11 @@ paper's safety argument promises:
 
 - **compile-time legality** — emitted orders are per-block permutations
   respecting intra-block dependences, and their windowed execution is a
-  legal schedule (:func:`~repro.analysis.verify.verify_scheduler_output`);
+  legal schedule (:func:`~repro.analysis.verify.check_execution`);
 - **simulation consistency** — the issue order is a permutation and the
   stall-attribution breakdown sums exactly to the reported stall cycles
-  (:func:`~repro.analysis.verify.check_sim_result`);
+  (:func:`~repro.analysis.verify.check_sim_result`), checked on the same
+  clean execution as legality;
 - **makespan sanity** — every completed execution fits between the
   dependence-graph critical path and a generous serialization bound, and
   *slowdown-only* faults (extra latency, shrunken windows, forced
@@ -38,50 +39,24 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from ..analysis.verify import OutputError, check_sim_result, verify_scheduler_output
-from ..core.lookahead import algorithm_lookahead, local_block_orders
+from ..analysis.verify import (
+    OutputError,
+    check_block_orders,
+    check_execution,
+    check_sim_result,
+    verify_scheduler_output,
+)
 from ..ir.basicblock import Trace
 from ..machine.model import MachineModel
 from ..machine.presets import paper_machine
 from ..obs import recorder as obs
-from ..schedulers import (
-    block_orders_with_priority,
-    critical_path_priority,
-    source_order_priority,
-)
+from ..schedulers.table import SCHEDULERS, SchedulerFn
 from ..sim.window import SimulationDeadlock, simulate_trace
 from ..workloads.traces import random_trace
 from .faults import FaultPlan, default_fault_plans, injection
 from .guard import GuardedScheduler
-
-SchedulerFn = Callable[[Trace, MachineModel], list[list[str]]]
-
-
-def _anticipatory(trace: Trace, machine: MachineModel) -> list[list[str]]:
-    return algorithm_lookahead(trace, machine).block_orders
-
-
-def _local_rank(trace: Trace, machine: MachineModel) -> list[list[str]]:
-    return local_block_orders(trace, machine)
-
-
-def _critical_path(trace: Trace, machine: MachineModel) -> list[list[str]]:
-    return block_orders_with_priority(trace, critical_path_priority, machine)
-
-
-def _source_order(trace: Trace, machine: MachineModel) -> list[list[str]]:
-    return block_orders_with_priority(trace, source_order_priority, machine)
-
-
-#: The scheduler-zoo members every fault plan is run against.
-SCHEDULERS: dict[str, SchedulerFn] = {
-    "anticipatory": _anticipatory,
-    "local_rank": _local_rank,
-    "critical_path": _critical_path,
-    "source_order": _source_order,
-}
 
 #: Cell outcomes: ``ok`` — executed, all invariants held; ``detected`` —
 #: the fault was caught as designed (rejected stream, diagnosed injected
@@ -361,7 +336,8 @@ def run_fuzz(
 
     ``seeds`` traces are generated (windows cycling over 2/3/4/6 when no
     explicit ``machine`` is given); each is compiled by every scheduler in
-    ``schedulers`` (default: the zoo in :data:`SCHEDULERS`) and executed
+    ``schedulers`` (default: the scheduler table,
+    :data:`repro.schedulers.SCHEDULERS`) and executed
     under every plan in ``plans`` (default:
     :func:`~repro.robust.faults.default_fault_plans` reseeded per trace).
     ``include_guarded`` adds one :class:`GuardedScheduler` cell per fault
@@ -406,11 +382,11 @@ def run_fuzz(
                 )
                 try:
                     orders = fn(trace, m)
-                    verify_scheduler_output(trace, orders, m)
-                    sim = simulate_trace(
+                    check_block_orders(trace, orders)
+                    sim = check_execution(simulate_trace(
                         trace, orders, m, collect_trace=True,
                         trace_label=f"fuzz:{name}:clean",
-                    )
+                    ))
                     check_sim_result(trace.graph, sim)
                     compiled[name] = orders
                     clean[name] = cell.clean_makespan = sim.makespan

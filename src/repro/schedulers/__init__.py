@@ -33,10 +33,12 @@ from .modulo import (
     recurrence_mii,
     resource_mii,
 )
+from .table import SCHEDULERS
 from .warren import warren_order, warren_priority, warren_schedule
 
 __all__ = [
     "ModuloScheduleResult",
+    "SCHEDULERS",
     "TWO_PROCESSOR",
     "bernstein_gertner_labels",
     "bernstein_gertner_priority",

@@ -27,12 +27,13 @@ from ..ir.basicblock import BasicBlock, Trace
 from ..ir.depgraph import DependenceGraph
 from ..ir.instruction import ANY
 from ..machine.model import MachineModel
+from ..schedulers.table import SCHEDULERS
 
 #: Version of the request/response schema.
 PROTOCOL_VERSION = 1
 
-#: Scheduler names accepted on the wire (mirrors ``repro schedule``).
-SCHEDULER_NAMES = ("anticipatory", "local", "critical-path", "source")
+#: Scheduler names accepted on the wire: the scheduler table's.
+SCHEDULER_NAMES = tuple(SCHEDULERS)
 
 #: Legal trace ids on the wire: they end up in file names, log lines and
 #: Prometheus labels, so the alphabet is deliberately narrow.

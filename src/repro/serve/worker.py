@@ -35,19 +35,13 @@ import time
 from contextlib import contextmanager
 from typing import Mapping
 
-from ..core import local_block_orders  # noqa: F401  (re-export compat)
-from ..core import algorithm_lookahead
 from ..ir.basicblock import Trace
 from ..machine.model import MachineModel
 from ..obs import recorder as obs
 from ..obs.pipeline import TraceContext
 from ..robust.faults import FaultPlan
 from ..robust.guard import GuardedScheduler
-from ..schedulers import (
-    block_orders_with_priority,
-    critical_path_priority,
-    source_order_priority,
-)
+from ..schedulers.table import SCHEDULERS
 from .protocol import ScheduleRequest
 
 
@@ -81,17 +75,13 @@ def request_trace_context(trace_id: str | None, parent_span_id: str | None):
 def compute_block_orders(
     trace: Trace, machine: MachineModel, scheduler: str
 ) -> list[list[str]]:
-    """Dispatch on scheduler name — the same table ``repro schedule``
-    uses, shared so the daemon can never drift from the CLI."""
-    if scheduler == "anticipatory":
-        return algorithm_lookahead(trace, machine).block_orders
-    if scheduler == "local":
-        return local_block_orders(trace, machine)
-    if scheduler == "critical-path":
-        return block_orders_with_priority(trace, critical_path_priority, machine)
-    if scheduler == "source":
-        return block_orders_with_priority(trace, source_order_priority, machine)
-    raise ValueError(f"unknown scheduler {scheduler!r}")
+    """Dispatch on scheduler name through
+    :data:`repro.schedulers.SCHEDULERS`, the table ``repro schedule`` and
+    the fuzz zoo read too."""
+    fn = SCHEDULERS.get(scheduler)
+    if fn is None:
+        raise ValueError(f"unknown scheduler {scheduler!r}")
+    return fn(trace, machine)
 
 
 def _guard_budget_s(

@@ -129,8 +129,9 @@ class TestMultipleIdleSlots:
 
 def reference_delay_idle_slots(schedule, deadlines, machine, unit):
     """Delay_Idle_Slots as Fig. 6 states it: Move_Idle_Slot on every idle
-    slot of ``unit``, earliest first, with from-scratch rank computations;
-    stay on a slot while it moves later or vanishes."""
+    slot of ``unit``, earliest first, each call with a fresh engine (one
+    from-scratch rank computation on the map it is given); stay on a slot
+    while it moves later or vanishes."""
     d = fill_deadlines(schedule.graph, deadlines)
     index = 0
     while index < len(schedule.idle_times(unit)):
@@ -214,8 +215,9 @@ class TestDelayAgainstReference:
     def test_every_move_leaves_the_engine_exact(self, instance):
         """After each Move_Idle_Slot, moved or not, the engine holds the
         returned deadlines and their from-scratch ranks; the result equals
-        the engine-free call's; a failed move returns its input schedule
-        with σᵢ's deadlines clamped to tᵢ and every other one unchanged."""
+        that of a call that builds its own engine from ``d``; a failed move
+        returns its input schedule with σᵢ's deadlines clamped to tᵢ and
+        every other one unchanged."""
         schedule, deadlines, machine = instance
         graph = schedule.graph
         d = fill_deadlines(graph, deadlines)

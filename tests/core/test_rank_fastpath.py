@@ -5,20 +5,22 @@ Two fast paths must be bit-identical to the from-scratch reference:
 - :class:`repro.core.rank.RankEngine` — after any sequence of deadline
   perturbations (single-node, batched, infeasible, multi-unit, non-unit
   execution times) its rank map must equal ``compute_ranks`` on the same
-  deadlines;
+  deadlines.  :func:`per_step_oracle` checks that after every engine call
+  the pipeline itself makes: merge, Delay_Idle_Slots and the tardiness
+  search get their ranks from an engine and nowhere else;
 - the unit-time closed form inside ``_node_rank`` — placing in
   nonincreasing rank order, each pool's latest free slot follows from its
   lowest occupied slot and the room left there, so latest-fit needs no
   search; fuzzed against the general :class:`_BackwardSlots` path on pools
   of every capacity.
 
-Plus the regression the tentpole fixed: ``move_idle_slot`` used to run two
-full rank computations per trial; with an engine it must run none (the
-engine's single from-scratch initialization per ``delay_idle_slots`` call is
-all that remains).
+Plus a work bound: ``move_idle_slot`` with an engine runs no full rank
+computation (the engine's single from-scratch initialization per
+``delay_idle_slots`` call is all there is).
 """
 
 import random
+from collections import Counter
 from contextlib import contextmanager
 from unittest import mock
 
@@ -26,6 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.lookahead as lookaheadmod
 import repro.core.rank as rankmod
 from repro.core import (
     SINGLE_UNIT,
@@ -36,7 +39,9 @@ from repro.core import (
     delay_idle_slots,
     fill_deadlines,
     list_schedule,
+    local_block_orders,
     makespan_deadlines,
+    minimize_tardiness,
     minimum_makespan_schedule,
 )
 from repro.ir import (
@@ -53,6 +58,10 @@ from repro.machine.model import MachineModel, single_unit_machine
 from repro.obs import TraceRecorder, recording
 from repro.workloads.random_dag import random_dag
 from repro.workloads.traces import random_trace
+from tests.core.test_idle import delay_instances
+from tests.core.test_tardiness import tardiness_instance
+from tests.core.test_work_counts import SEEDS as WORK_COUNT_SEEDS
+from tests.core.test_work_counts import SHAPES as WORK_COUNT_SHAPES
 
 
 #: Typed pools of two sizes plus a universal unit; ``MEMORY`` has no unit
@@ -348,51 +357,196 @@ class TestSingleUnitPool:
         assert RankEngine(graph, deadlines, machine).ranks["x"] == 7
 
 
+#: The RankEngine calls that change an engine's state, or make an engine.
+ENGINE_STEPS = ("__init__", "carried_into", "set_deadlines", "restore", "shift")
+
+
+@contextmanager
+def per_step_oracle():
+    """Check every :class:`RankEngine` step the code under test takes.
+
+    After each construction (a trusted ``ranks=`` seed included, except the
+    one :meth:`RankEngine.carried_into` makes before it re-ranks the new
+    nodes), each ``set_deadlines``, ``carried_into``, ``restore`` and
+    ``shift``, the engine's ranks must equal ``compute_ranks`` on its own
+    deadlines.  Yields a :class:`Counter` of the checks made per step."""
+    real = {name: getattr(RankEngine, name) for name in ENGINE_STEPS}
+    checks: Counter = Counter()
+    carrying = [0]
+
+    def check(step, engine):
+        want = compute_ranks(engine.graph, engine.deadlines, engine.machine)
+        assert engine.ranks == want, f"RankEngine.{step} left stale ranks"
+        checks[step] += 1
+
+    def init(self, *args, **kwargs):
+        real["__init__"](self, *args, **kwargs)
+        if not carrying[0]:
+            check("__init__", self)
+
+    def carried_into(self, *args, **kwargs):
+        carrying[0] += 1
+        try:
+            engine = real["carried_into"](self, *args, **kwargs)
+        finally:
+            carrying[0] -= 1
+        check("carried_into", engine)
+        return engine
+
+    def in_place(step):
+        def method(self, *args, **kwargs):
+            real[step](self, *args, **kwargs)
+            check(step, self)
+
+        return method
+
+    with mock.patch.multiple(
+        RankEngine,
+        __init__=init,
+        carried_into=carried_into,
+        set_deadlines=in_place("set_deadlines"),
+        restore=in_place("restore"),
+        shift=in_place("shift"),
+    ):
+        yield checks
+
+
+@pytest.fixture
+def rank_oracle():
+    with per_step_oracle() as checks:
+        yield checks
+
+
+def pipeline_trace(seed):
+    """The mixed corpus: 1-5 blocks, some with multi-cycle nodes and
+    latencies up to 3, on one unit or a two-unit universal pool."""
+    rng = random.Random(seed)
+    kwargs = dict(
+        num_blocks=rng.randint(1, 5),
+        block_size=rng.randint(1, 10),
+        edge_probability=rng.choice([0.2, 0.4]),
+        cross_probability=rng.choice([0.0, 0.15]),
+        seed=seed,
+    )
+    if seed % 3 == 0:
+        kwargs["latencies"] = (0, 1, 2, 3)
+        kwargs["exec_times"] = (1, 2)
+    trace = random_trace(**kwargs)
+    machine = (
+        single_unit_machine(window_size=rng.choice([2, 4]))
+        if seed % 2
+        else MachineModel(window_size=4, fu_counts={"any": 2}, issue_width=2)
+    )
+    return trace, machine
+
+
+def typed_trace(seed):
+    """Typed classes (fixed, float, memory) with latencies 0/2/4."""
+    return random_trace(
+        num_blocks=3,
+        block_size=(4, 10),
+        edge_probability=0.25,
+        cross_probability=0.1,
+        latencies=(0, 2, 4),
+        fu_classes=(FIXED, FLOAT, MEMORY),
+        seed=seed,
+    )
+
+
 class TestPipelineBitIdentity:
+    """Algorithm Lookahead and the per-block baseline under the per-step
+    oracle: every engine step of every merge, idle-slot trial and carry."""
+
     @pytest.mark.parametrize("seed", range(12))
-    def test_lookahead_incremental_matches_oracle(self, seed):
-        rng = random.Random(seed)
-        kwargs = dict(
-            num_blocks=rng.randint(1, 5),
-            block_size=rng.randint(1, 10),
-            edge_probability=rng.choice([0.2, 0.4]),
-            cross_probability=rng.choice([0.0, 0.15]),
-            seed=seed,
-        )
-        if seed % 3 == 0:
-            kwargs["latencies"] = (0, 1, 2, 3)
-            kwargs["exec_times"] = (1, 2)
-        trace = random_trace(**kwargs)
-        machine = (
-            single_unit_machine(window_size=rng.choice([2, 4]))
-            if seed % 2
-            else MachineModel(window_size=4, fu_counts={"any": 2}, issue_width=2)
-        )
-        a = algorithm_lookahead(trace, machine, incremental=True)
-        b = algorithm_lookahead(trace, machine, incremental=False)
-        assert a.block_orders == b.block_orders
-        assert a.predicted_makespan == b.predicted_makespan
+    def test_lookahead_incremental_matches_oracle(self, seed, rank_oracle):
+        trace, machine = pipeline_trace(seed)
+        algorithm_lookahead(trace, machine)
+        assert rank_oracle["__init__"] == 2  # the first block's two engines
+        assert rank_oracle["carried_into"] == 2 * (trace.num_blocks - 1)
+        local_block_orders(trace, machine)
+        # local_block_orders seeds one engine per block from its ranks.
+        assert rank_oracle["__init__"] == 2 + trace.num_blocks
 
     @pytest.mark.parametrize("machine", [WIDE_VLIW, RS6000_LIKE],
                              ids=["wide_vliw", "rs6000"])
     @pytest.mark.parametrize("seed", range(8))
-    def test_typed_units_incremental_matches_oracle(self, machine, seed):
+    def test_typed_units_incremental_matches_oracle(
+        self, machine, seed, rank_oracle
+    ):
         """Typed classes on two units per class (``WIDE_VLIW``) or one
         (``RS6000_LIKE``), with latencies 0/2/4."""
-        trace = random_trace(
-            num_blocks=3,
-            block_size=(4, 10),
-            edge_probability=0.25,
-            cross_probability=0.1,
-            latencies=(0, 2, 4),
-            fu_classes=(FIXED, FLOAT, MEMORY),
-            seed=seed,
-        )
-        a = algorithm_lookahead(trace, machine, incremental=True)
-        b = algorithm_lookahead(trace, machine, incremental=False)
-        assert [s.delayed for s in a.steps] == [s.delayed for s in b.steps]
-        assert a.block_orders == b.block_orders
-        assert a.predicted_makespan == b.predicted_makespan
+        algorithm_lookahead(typed_trace(seed), machine)
+        assert rank_oracle["set_deadlines"] > 0
+
+    @pytest.mark.parametrize("shape", sorted(WORK_COUNT_SHAPES))
+    def test_work_count_corpus(self, shape, rank_oracle):
+        """``test_work_counts.py``'s two corpora, whose merges relax
+        deadlines (``paper_core``) and whose failed idle-slot trials
+        restore snapshots (``wide_vliw``)."""
+        machine, kwargs = WORK_COUNT_SHAPES[shape]
+        for seed in WORK_COUNT_SEEDS:
+            algorithm_lookahead(random_trace(seed=seed, **kwargs), machine)
+        assert all(rank_oracle[step] for step in ENGINE_STEPS[:4])
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_tardiness_search(self, seed, rank_oracle):
+        """``test_tardiness.py``'s brute-force cases: each probe shifts the
+        engine seeded from the lenient schedule's ranks."""
+        minimize_tardiness(*tardiness_instance(seed))
+        assert rank_oracle["__init__"] == 1
+        assert rank_oracle["shift"] >= 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(delay_instances())
+    def test_delay_idle_slots(self, instance):
+        """``test_idle.py``'s schedules, unit after unit with one engine,
+        as Algorithm Lookahead runs Delay_Idle_Slots."""
+        schedule, deadlines, machine = instance
+        d = fill_deadlines(schedule.graph, deadlines)
+        with per_step_oracle():
+            engine = RankEngine(schedule.graph, d, machine)
+            for unit in machine.unit_names():
+                schedule, d = delay_idle_slots(
+                    schedule, d, machine, unit, engine=engine
+                )
+
+
+class TestEngineOwnsDeadlines:
+    """The deadline maps merge and Delay_Idle_Slots return are copies of
+    their engine's map: equal to it when returned, and left as they were
+    while the engine moves on."""
+
+    @pytest.mark.parametrize(
+        "trace,machine",
+        [pipeline_trace(seed) for seed in range(12)]
+        + [(typed_trace(seed), WIDE_VLIW) for seed in range(4)],
+        ids=[f"mixed{seed}" for seed in range(12)]
+        + [f"typed{seed}" for seed in range(4)],
+    )
+    def test_returned_maps_copy_the_engine(self, trace, machine):
+        returned = []
+
+        def merge(*args, **kwargs):
+            result = real_merge(*args, **kwargs)
+            assert result.deadlines == result.engine.deadlines
+            assert result.deadlines is not result.engine.deadlines
+            assert result.engine is kwargs["carry"].constrained
+            returned.append((result.deadlines, dict(result.deadlines)))
+            return result
+
+        def delay(*args, engine, **kwargs):
+            schedule, deadlines = real_delay(*args, engine=engine, **kwargs)
+            assert deadlines == engine.deadlines
+            assert deadlines is not engine.deadlines
+            returned.append((deadlines, dict(deadlines)))
+            return schedule, deadlines
+
+        real_merge, real_delay = lookaheadmod.merge, lookaheadmod.delay_idle_slots
+        with mock.patch.object(lookaheadmod, "merge", merge), \
+                mock.patch.object(lookaheadmod, "delay_idle_slots", delay):
+            algorithm_lookahead(trace, machine)
+        assert len(returned) >= trace.num_blocks
+        assert all(kept == copy for kept, copy in returned)
 
 
 class TestRankOncePerDelayCall:
@@ -416,19 +570,9 @@ class TestRankOncePerDelayCall:
         full_ranks = rec.span_stats().get("rank", (0, 0.0))[0]
         assert trials >= 1  # the instance actually exercised the loop
         # One from-scratch compute seeds the engine; every trial after that
-        # must go through incremental updates only (the old code paid two
-        # full computes per trial).
+        # must go through incremental updates only.
         assert full_ranks <= 1
         assert rec.counters.get("rank.engine.updates", 0) >= trials
-
-    def test_oracle_path_still_recomputes(self):
-        graph, machine, sched = self.find_idle_instance()
-        d = makespan_deadlines(sched)
-        with recording(TraceRecorder(sim_events=False)) as rec:
-            delay_idle_slots(sched, d, machine, incremental=False)
-        trials = rec.counters.get("idle.trials", 0)
-        assert trials >= 1
-        assert rec.span_stats().get("rank", (0, 0.0))[0] >= trials
 
 
 class TestFillDeadlinesValidation:

@@ -19,6 +19,14 @@ def bruteforce_min_tardiness(graph, deadlines, machine=None):
     raise AssertionError("no feasible relaxation found")  # pragma: no cover
 
 
+def tardiness_instance(seed):
+    """A random 7-node DAG (latencies 0/1) with tight deadlines 1-4, on one
+    unit: real tardiness to minimize."""
+    g = random_dag(7, edge_probability=0.3, latencies=(0, 1), seed=seed)
+    deadlines = {n: 1 + (i % 4) for i, n in enumerate(g.nodes)}
+    return g, deadlines, paper_machine(1)
+
+
 class TestBasics:
     def test_feasible_instance_zero_tardiness(self):
         g = figure1_bb1()
@@ -58,11 +66,9 @@ class TestBasics:
 class TestOptimality:
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_bruteforce_oracle(self, seed):
-        g = random_dag(7, edge_probability=0.3, latencies=(0, 1), seed=seed)
-        # Tight random deadlines to force real tardiness.
-        deadlines = {n: 1 + (i % 4) for i, n in enumerate(g.nodes)}
-        ours = minimize_tardiness(g, deadlines, paper_machine(1))
-        oracle = bruteforce_min_tardiness(g, deadlines, paper_machine(1))
+        g, deadlines, machine = tardiness_instance(seed)
+        ours = minimize_tardiness(g, deadlines, machine)
+        oracle = bruteforce_min_tardiness(g, deadlines, machine)
         assert ours.tardiness == oracle
         ours.schedule.validate()
 

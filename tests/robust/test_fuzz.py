@@ -1,5 +1,6 @@
 """Tests for the differential fault-injection fuzz driver."""
 
+import repro.sim.window as window
 from repro.core import local_block_orders
 from repro.robust.faults import FaultPlan
 from repro.robust.fuzz import CELL_STATUSES, SCHEDULERS, run_fuzz
@@ -72,6 +73,22 @@ class TestRunFuzz:
         doc = report.to_dict()
         assert doc["ok"] is True
         assert doc["num_cells"] == report.num_cells
+
+    def test_one_simulation_per_compile_cell(self, monkeypatch):
+        """A compile cell's one clean execution, with its cycle trace, gets
+        both the legality check and the stall-attribution check."""
+        real = window.simulate_window
+        traced = []
+
+        def counting(*args, **kwargs):
+            traced.append(kwargs.get("collect_trace"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(window, "simulate_window", counting)
+        report = run_fuzz(seeds=2, plans=[], include_guarded=False)
+        assert [c.fault for c in report.cells] == ["compile"] * 8
+        assert report.ok
+        assert traced == [True] * 8
 
     def test_single_plan_override(self):
         plan = FaultPlan(name="only", latency_jitter=1, seed=3)

@@ -246,6 +246,31 @@ class TestTrace:
             assert main([command, str(jsonl)]) == 2
             assert "not a repro trace file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("record", [
+        {"type": "span"},
+        {"type": "span", "name": "merge", "start_us": 0},
+        {"type": "span", "name": "merge", "start_us": 0, "dur_us": "5"},
+        {"type": "counter", "name": "idle.trials"},
+        {"type": "sim_trace", "index": 0, "window_size": 2},
+        {"type": "sim", "cycle": 1},
+    ])
+    @pytest.mark.parametrize("command", ["trace", "report"])
+    def test_record_lacking_a_field_is_rejected(
+        self, tmp_path, capsys, command, record
+    ):
+        """A well-formed record without a field the commands read exits 2
+        with one error line, not a traceback."""
+        jsonl = tmp_path / "run.jsonl"
+        jsonl.write_text(
+            json.dumps({"type": "meta", "version": 2}) + "\n"
+            + json.dumps(record) + "\n"
+        )
+        assert main([command, str(jsonl)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ")
+        assert "not a repro trace file" in err[0]
+
     @pytest.mark.parametrize("command", ["trace", "report"])
     def test_missing_file_is_rejected(self, tmp_path, capsys, command):
         assert main([command, str(tmp_path / "absent.jsonl")]) == 2
