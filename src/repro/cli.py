@@ -37,6 +37,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import __version__
@@ -60,7 +61,7 @@ from .machine import (
     RS6000_LIKE,
     WIDE_VLIW,
 )
-from .obs import TraceRecorder, recording
+from .obs import TraceRecorder, get_recorder, recording
 from .obs.runreport import RunReport, compare_reports
 from .obs.export import (
     chrome_trace_path,
@@ -458,11 +459,9 @@ def _sweep_report(res, params, args) -> "RunReport":
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Crash-tolerant demo sweep: anticipatory vs per-block-local makespan
     over a windows×seeds grid, with checkpoint/resume.  ``--faults`` swaps
-    in the guarded fault-injected cell; ``--spool-dir`` turns on the
-    cross-process telemetry pipeline; ``--report`` writes the merged
-    telemetry as a RunReport."""
-    import tempfile
-
+    in the guarded fault-injected cell; ``--spool-dir`` spools each cell's
+    telemetry as it lands; ``--report`` writes the merged telemetry as a
+    RunReport."""
     from .robust.sweep import (
         SweepFailure,
         guarded_cell,
@@ -490,13 +489,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     params = [(w, s) for w in windows for s in range(args.seeds)]
     cell_fn = guarded_cell if args.faults else schedule_cell
-    spool_dir = args.spool_dir
-    tmp_spool = None
-    if args.report and spool_dir is None:
-        # --report needs merged telemetry even without a user spool dir.
-        tmp_spool = tempfile.TemporaryDirectory(prefix="repro-spool-")
-        spool_dir = tmp_spool.name
-    try:
+    # --report reads the merged cell records, which the pool brings back
+    # only under a recorder.
+    untraced = args.report and get_recorder() is None
+    with recording() if untraced else nullcontext():
         res = run_sweep_robust(
             cell_fn,
             params,
@@ -504,63 +500,60 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             timeout_s=args.timeout_s,
             retries=args.retries,
             checkpoint=args.checkpoint,
-            telemetry_dir=spool_dir,
+            telemetry_dir=args.spool_dir,
         )
-        rows = []
-        if args.faults:
-            for (w, s), value in zip(params, res.results):
-                if isinstance(value, SweepFailure):
-                    rows.append([w, s, "-", "-", "-", value.error_type])
-                else:
-                    _, _, makespan, source, plan = value
-                    rows.append(
-                        [w, s, makespan if makespan >= 0 else "-",
-                         source, plan, "ok"]
-                    )
-            text = format_table(
-                ["W", "seed", "makespan", "source", "fault plan", "status"],
-                rows,
-                title=f"guarded scheduling under fault injection "
-                      f"({len(params)} cells)",
-            )
-        else:
-            for (w, s), value in zip(params, res.results):
-                if isinstance(value, SweepFailure):
-                    rows.append([w, s, "-", "-", "-", value.error_type])
-                else:
-                    _, _, ant, local, stalls = value
-                    rows.append([w, s, ant, local, stalls, "ok"])
-            text = format_table(
-                ["W", "seed", "anticipatory", "local", "stalls", "status"],
-                rows,
-                title=f"anticipatory vs per-block-local makespan "
-                      f"({len(params)} cells)",
-            )
-        print(text)
+    rows = []
+    if args.faults:
+        for (w, s), value in zip(params, res.results):
+            if isinstance(value, SweepFailure):
+                rows.append([w, s, "-", "-", "-", value.error_type])
+            else:
+                _, _, makespan, source, plan = value
+                rows.append(
+                    [w, s, makespan if makespan >= 0 else "-",
+                     source, plan, "ok"]
+                )
+        text = format_table(
+            ["W", "seed", "makespan", "source", "fault plan", "status"],
+            rows,
+            title=f"guarded scheduling under fault injection "
+                  f"({len(params)} cells)",
+        )
+    else:
+        for (w, s), value in zip(params, res.results):
+            if isinstance(value, SweepFailure):
+                rows.append([w, s, "-", "-", "-", value.error_type])
+            else:
+                _, _, ant, local, stalls = value
+                rows.append([w, s, ant, local, stalls, "ok"])
+        text = format_table(
+            ["W", "seed", "anticipatory", "local", "stalls", "status"],
+            rows,
+            title=f"anticipatory vs per-block-local makespan "
+                  f"({len(params)} cells)",
+        )
+    print(text)
+    print(
+        f"cells: {res.completed}/{len(params)} completed, "
+        f"{res.resumed} resumed, {res.attempts} attempts, "
+        f"{res.pool_restarts} pool restarts"
+    )
+    if res.telemetry is not None:
         print(
-            f"cells: {res.completed}/{len(params)} completed, "
-            f"{res.resumed} resumed, {res.attempts} attempts, "
-            f"{res.pool_restarts} pool restarts"
+            f"telemetry: {len(res.telemetry.cells)} cell(s) recorded by "
+            f"{len(res.telemetry.pids)} worker(s)"
         )
-        if res.telemetry is not None:
-            print(
-                f"telemetry: {len(res.telemetry.cells)} cell(s) spooled by "
-                f"{len(res.telemetry.pids)} worker(s)"
-            )
-        if args.output:
-            Path(args.output).write_text(text + "\n")
-            print(f"wrote {args.output}")
-        if args.report:
-            path = _sweep_report(res, params, args).write(args.report)
-            print(f"report: wrote {path}")
-        if res.failures:
-            for failure in res.failures:
-                print(f"error: {failure}", file=sys.stderr)
-            return 1
-        return 0
-    finally:
-        if tmp_spool is not None:
-            tmp_spool.cleanup()
+    if args.output:
+        Path(args.output).write_text(text + "\n")
+        print(f"wrote {args.output}")
+    if args.report:
+        path = _sweep_report(res, params, args).write(args.report)
+        print(f"report: wrote {path}")
+    if res.failures:
+        for failure in res.failures:
+            print(f"error: {failure}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def cmd_flame(args: argparse.Namespace) -> int:
@@ -602,7 +595,7 @@ def cmd_flame(args: argparse.Namespace) -> int:
         _, prof = profile(workload, interval_s=interval_s)
     print(
         f"profiled {label}: {prof.sample_count} samples "
-        f"({len(prof.samples)} stacks, mode {prof.mode}, "
+        f"({len(prof.samples)} stacks, engine {prof.engine}, "
         f"interval {args.interval_ms:g} ms)"
     )
     out = write_flamegraph(
@@ -957,8 +950,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "plain comparison cell (exercises guard.*/faults.* "
                         "telemetry)")
     p.add_argument("--spool-dir", metavar="DIR", default=None,
-                   help="spool per-cell worker telemetry to DIR and merge it "
-                        "at sweep end (watch live with 'repro top DIR')")
+                   help="append each cell's worker telemetry to a spool in "
+                        "DIR as the cell lands (watch live with 'repro top "
+                        "DIR')")
     p.add_argument("--report", metavar="FILE", default=None,
                    help="write the merged telemetry as a RunReport JSON "
                         "(counters and span counts invariant across --jobs)")

@@ -115,7 +115,7 @@ def algorithm_lookahead(
     steps: list[LookaheadStep] = []
     offset = 0
     suffix: Schedule | None = None
-    carry = MergeCarry(machine=machine)
+    carry = MergeCarry()
 
     with obs.span("lookahead", blocks=trace.num_blocks, window=window):
         for bb in trace.blocks:

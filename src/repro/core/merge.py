@@ -52,7 +52,6 @@ class MergeCarry:
       Delay_Idle_Slots; on carry, old nodes shift by the chop ``shift``.
     """
 
-    machine: MachineModel
     uniform: RankEngine | None = None
     uniform_value: int = 0
     constrained: RankEngine | None = None
@@ -105,7 +104,7 @@ def merge(
     """
     machine = machine or single_unit_machine()
     if carry is None:
-        carry = MergeCarry(machine=machine)
+        carry = MergeCarry()
     old_list = list(old_nodes)
     new_list = list(new_nodes)
     overlap = set(old_list) & set(new_list)

@@ -1,7 +1,7 @@
 """Observability: pipeline spans, counters, cycle-level simulator event
 traces, derived hardware-counter metrics, schema-versioned run reports,
 exporters (JSONL, Chrome trace-event / Perfetto), the cross-process
-telemetry pipeline (trace contexts + worker spools), a sampling profiler
+telemetry pipeline (trace contexts, cell records, spools), a sampling profiler
 with flamegraph output, and Prometheus text exposition.
 
 See ``docs/OBSERVABILITY.md`` for the event schema and usage guide.
@@ -52,10 +52,10 @@ from .pipeline import (
     SpoolMerge,
     TraceContext,
     clear_spools,
-    current_context,
     merge_spools,
     read_jsonl,
     read_spools,
+    recorded_cell,
     spool_path,
     spooled_cell,
 )
@@ -77,7 +77,6 @@ __all__ = [
     "TraceContext",
     "clear_spools",
     "collapsed_stacks",
-    "current_context",
     "flamegraph_html",
     "merge_spools",
     "parse_collapsed",
@@ -85,6 +84,7 @@ __all__ = [
     "profile_overhead",
     "prometheus_text",
     "read_spools",
+    "recorded_cell",
     "spool_path",
     "spooled_cell",
     "top_snapshot",

@@ -1,36 +1,38 @@
-"""Cross-process telemetry pipeline: trace contexts and worker spools.
+"""Cross-process telemetry pipeline: trace contexts, cell records, spools.
 
 The recorder (:mod:`repro.obs.recorder`) is strictly in-process: the moment
-work fans out over the fork pools of :mod:`repro.robust.sweep`, every
-worker-side span, counter and :class:`~repro.obs.events.SimTrace` would be
-recorded into the worker's *copy* of the recorder and silently dropped when
-the worker exits.  This module is the substrate that carries that telemetry
-back to the parent:
+work fans out over the workers of :class:`repro.robust.pool.ExecutionPool`,
+every worker-side span, counter and :class:`~repro.obs.events.SimTrace`
+would be recorded into the worker's *copy* of the recorder and silently
+dropped.  This module is the substrate that carries that telemetry back to
+the parent:
 
 - :class:`TraceContext` — a ``(trace_id, parent_span_id, pid)`` triple every
   recorder carries and stamps onto its spans.  The parent derives one child
-  context per sweep cell (:meth:`TraceContext.child`), the worker activates
-  it, and the whole sweep shares one ``trace_id`` — so the merged stream
+  context per item (:meth:`TraceContext.child`), the worker activates it,
+  and the whole sweep shares one ``trace_id`` — so the merged stream
   renders as a single coherent trace tree across processes.
-- **Worker spools** — workers append one self-contained JSON line per
-  *completed* cell to a per-pid spool file (``spool-<pid>.jsonl``) and flush
-  it immediately.  A cell line is written atomically-after-the-fact: a
-  worker killed mid-cell (``os._exit``, segfault, OOM) leaves at worst a
-  torn trailing line, and every previously completed cell remains readable.
-- :func:`merge_spools` — the parent reads all spool files (skipping torn
+- **Cell records** — :class:`recorded_cell` runs one execution under a
+  fresh recorder and turns everything it collected into one self-contained
+  JSON-able record (:func:`cell_record`).  The pool sends it back over the
+  worker's result pipe together with the answer, so a worker that dies
+  mid-item loses only that item's record.
+- **Spools** — a parent that wants its telemetry on disk appends each
+  record as one line to its own ``spool-<pid>.jsonl``
+  (:class:`spooled_cell`, :func:`append_cell`) and flushes it at once: a
+  writer killed mid-append leaves at worst a torn trailing line.
+  :func:`merge_spools` reads every spool of a directory (skipping torn
   lines), timestamp-orders the spans across processes, and folds the
-  records into the session :class:`~repro.obs.recorder.TraceRecorder` and a
-  :class:`~repro.obs.metrics.MetricsRegistry`.  Crash/timeout recovery is
-  free: whatever a dead worker finished spooling before it died is merged
-  like everything else.
+  records into a :class:`~repro.obs.recorder.TraceRecorder` and a
+  :class:`~repro.obs.metrics.MetricsRegistry`.
 
 The spools' :func:`append_jsonl` / :func:`read_jsonl` also back the serve
 cache's store and the sweep's checkpoints.
 
 Merging counts *executions*, not logical cells: a cell that ran twice
-(because a pool crash lost its collected result and it was requeued) is
-spooled twice and counted twice, exactly as it would have been had both
-executions happened in-process.
+(a retried attempt that raised, then succeeded) has two records and is
+counted twice, exactly as it would have been had both executions happened
+in-process.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import os
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .events import SimEvent, SimTrace
 from .metrics import MetricsRegistry
@@ -49,7 +51,7 @@ from .recorder import SpanRecord, TraceRecorder
 #: Version of the one-line-per-cell spool schema.
 SPOOL_VERSION = 1
 
-#: Spool file name pattern (one file per worker process).
+#: Spool file name pattern (one file per writing process).
 SPOOL_GLOB = "spool-*.jsonl"
 
 #: Default histogram buckets (seconds) for span-duration metrics derived
@@ -105,21 +107,12 @@ class TraceContext:
         )
 
 
-def current_context() -> TraceContext:
-    """The active recorder's context, or a fresh root context when tracing
-    is off (so sweep drivers can always hand workers a real context)."""
-    from . import recorder as obs
-
-    rec = obs.get_recorder()
-    return rec.context if rec is not None else TraceContext.new()
+# -- cell records and spool writing -----------------------------------------
 
 
-# -- spool writing (worker side) --------------------------------------------
-
-
-def spool_path(directory: str | os.PathLike, pid: int | None = None) -> Path:
+def spool_path(directory: str | os.PathLike) -> Path:
     """The spool file this process appends to inside ``directory``."""
-    return Path(directory) / f"spool-{pid if pid is not None else os.getpid()}.jsonl"
+    return Path(directory) / f"spool-{os.getpid()}.jsonl"
 
 
 def _sim_trace_dict(trace: SimTrace) -> dict:
@@ -176,19 +169,19 @@ def append_jsonl(path: str | os.PathLike, record: dict) -> None:
 
 def read_jsonl(path: str | os.PathLike) -> Iterator[dict | None]:
     """One item per non-blank line of an append-only JSONL file: the parsed
-    record, or ``None`` for a torn or non-object line (a writer died
-    mid-append), so callers can skip or count it.  A missing file yields
-    nothing."""
+    record, or ``None`` for a torn, non-UTF-8 or non-object line (a writer
+    died mid-append), so callers can skip or count it.  A missing file
+    yields nothing."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError:
         return
-    for line in text.splitlines():
+    for line in data.splitlines():
         if line.strip():
             yield _json_object(line)
 
 
-def _json_object(line: str | bytes) -> dict | None:
+def _json_object(line: bytes) -> dict | None:
     try:
         rec = json.loads(line)
     except (json.JSONDecodeError, UnicodeDecodeError):
@@ -204,31 +197,27 @@ def append_cell(directory: str | os.PathLike, record: dict) -> Path:
     return path
 
 
-class spooled_cell:
-    """Context manager a worker wraps one cell execution in.
+class recorded_cell:
+    """Context manager that records one cell execution.
 
     Installs a fresh :class:`TraceRecorder` under ``context`` (re-stamped
-    with the worker's pid), records a ``sweep.cell`` root span around the
-    cell, and on exit — *including* the exception path, since a raising
-    cell still executed — appends the finished cell record to the spool and
-    restores the previously active recorder.  A worker that dies mid-cell
-    never reaches the append, so completed cells are never torn.
+    with this process's pid) with the given ``sim_events`` setting, records
+    a ``sweep.cell`` root span around the cell, and on exit — *including*
+    the exception path, since a raising cell still executed — restores the
+    previously active recorder and leaves the finished :func:`cell_record`
+    in :attr:`record` (``ok: false`` when the cell raised).
     """
 
     def __init__(
-        self,
-        directory: str | os.PathLike,
-        context: TraceContext,
-        cell: int,
-        sim_events: bool = True,
+        self, context: TraceContext, cell: int, sim_events: bool = True
     ) -> None:
-        self.directory = directory
         self.context = TraceContext(
             trace_id=context.trace_id,
             parent_span_id=context.parent_span_id,
         )
         self.cell = cell
         self.sim_events = sim_events
+        self.record: dict | None = None
 
     def __enter__(self) -> TraceRecorder:
         from . import recorder as obs
@@ -246,10 +235,28 @@ class spooled_cell:
 
         self._span.__exit__(exc_type, exc, tb)
         obs.set_recorder(self._previous)
-        append_cell(
-            self.directory,
-            cell_record(self.recorder, self.cell, ok=exc_type is None),
-        )
+        self.record = cell_record(self.recorder, self.cell, ok=exc_type is None)
+        return False
+
+
+class spooled_cell(recorded_cell):
+    """A :class:`recorded_cell` whose record is appended to ``directory``'s
+    spool on exit.  A process that dies mid-cell never reaches the append,
+    so completed cells are never torn."""
+
+    def __init__(
+        self,
+        directory: str | os.PathLike,
+        context: TraceContext,
+        cell: int,
+        sim_events: bool = True,
+    ) -> None:
+        super().__init__(context, cell, sim_events)
+        self.directory = directory
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        super().__exit__(exc_type, exc, tb)
+        append_cell(self.directory, self.record)
         return False
 
 
@@ -258,7 +265,7 @@ class spooled_cell:
 
 @dataclass
 class CellTelemetry:
-    """One cell execution recovered from a spool file."""
+    """One cell execution recovered from its cell record."""
 
     cell: int
     pid: int
@@ -307,33 +314,14 @@ def _is_cell(rec: dict | None) -> bool:
     return bool(rec) and rec.get("type") == "cell" and rec.get("v") == SPOOL_VERSION
 
 
-def read_spool_from(
-    path: str | os.PathLike, offset: int = 0
-) -> tuple[list[CellTelemetry], int]:
-    """The cell records appended to spool file ``path`` from byte
-    ``offset`` on, and the offset just past the last complete line — so a
-    reader that follows one spool sees each record once and never a line
-    still being written."""
-    try:
-        with open(path, "rb") as fh:
-            fh.seek(offset)
-            data = fh.read()
-    except OSError:
-        return [], offset
-    end = data.rfind(b"\n") + 1
-    records = (_json_object(line) for line in data[:end].splitlines())
-    return [_cell_from_record(r) for r in records if _is_cell(r)], offset + end
-
-
 def read_spools(directory: str | os.PathLike) -> list[CellTelemetry]:
     """All cell executions recovered from ``directory``'s spool files,
     ordered by earliest span start (i.e. wall-clock across processes)."""
-    cells: list[CellTelemetry] = []
-    for path in sorted(Path(directory).glob(SPOOL_GLOB)):
-        for rec in iter_spool_records(path):
-            cells.append(_cell_from_record(rec))
-    cells.sort(key=lambda c: (c.start_ns, c.pid, c.cell))
-    return cells
+    return SpoolMerge.from_records(
+        rec
+        for path in sorted(Path(directory).glob(SPOOL_GLOB))
+        for rec in iter_spool_records(path)
+    ).cells
 
 
 def clear_spools(directory: str | os.PathLike) -> int:
@@ -351,9 +339,18 @@ def clear_spools(directory: str | os.PathLike) -> int:
 
 @dataclass
 class SpoolMerge:
-    """The merged view of a spool directory."""
+    """The merged view of a set of cell executions: a spool directory, or
+    the records a pool batch brought back."""
 
     cells: list[CellTelemetry]
+
+    @classmethod
+    def from_records(cls, records: Iterable[dict]) -> "SpoolMerge":
+        """The merge of ``records`` (:func:`cell_record` dicts), cells
+        ordered by earliest span start, then pid and cell id."""
+        cells = [_cell_from_record(rec) for rec in records]
+        cells.sort(key=lambda c: (c.start_ns, c.pid, c.cell))
+        return cls(cells)
 
     @property
     def spans(self) -> list[SpanRecord]:
@@ -395,7 +392,7 @@ class SpoolMerge:
         return out
 
     def merge_into(self, recorder: TraceRecorder) -> None:
-        """Fold every spooled record into ``recorder`` — spans
+        """Fold every cell record into ``recorder`` — spans
         timestamp-ordered, counters accumulated (with their sample
         timelines), sim traces appended with a ``[pid N]`` label suffix so
         per-worker tracks stay distinguishable in exports."""

@@ -6,9 +6,9 @@ and aggregates the samples into collapsed stacks (the Brendan Gregg
 HTML file can be rendered (:func:`flamegraph_html`) — no external tooling
 or JavaScript dependencies.
 
-Two sampling engines, selected by ``mode``:
+Two sampling engines, chosen by what the profiler can observe:
 
-``itimer`` (the default where available)
+``itimer`` (whenever it can run)
     ``signal.setitimer(ITIMER_PROF)`` + a ``SIGPROF`` handler.  The timer
     counts *CPU* time, so a sleeping process takes no samples at all, and
     the handler receives the interrupted frame directly — overhead is a few
@@ -23,8 +23,9 @@ Two sampling engines, selected by ``mode``:
     (worker threads, signal-hostile embeddings) at slightly higher overhead
     and wall-clock (not CPU) weighting.
 
-``auto`` picks ``itimer`` when running on the main thread and the platform
-has ``setitimer``, else ``thread``.
+The thread engine runs when a ``target_thread_id`` is given (the itimer
+only ever sees the main thread) or when ``setitimer`` cannot be used on
+the calling thread; otherwise the itimer engine runs.
 
 The profiler is re-entrant-safe but not concurrent: one active instance per
 process at a time (a second ``start()`` while another instance is sampling
@@ -78,28 +79,19 @@ class SamplingProfiler:
     def __init__(
         self,
         interval_s: float = DEFAULT_INTERVAL_S,
-        mode: str = "auto",
         max_depth: int = 128,
         target_thread_id: int | None = None,
     ) -> None:
         if interval_s <= 0:
             raise ValueError("interval_s must be > 0")
-        if mode not in ("auto", "itimer", "thread"):
-            raise ValueError(f"unknown profiler mode {mode!r}")
-        if target_thread_id is not None and mode == "itimer":
-            raise ValueError(
-                "target_thread_id requires thread mode (itimer only "
-                "samples the main thread)"
-            )
         self.interval_s = interval_s
         self.max_depth = max_depth
         #: Sample this thread instead of the one calling ``start()`` —
-        #: forces thread mode.  Lets a daemon profile e.g. its dispatcher
-        #: thread from the asyncio thread.
+        #: selects the thread engine.  Lets a daemon profile e.g. its
+        #: dispatcher thread from the asyncio thread.
         self.target_thread_id = target_thread_id
-        self.requested_mode = mode
         #: The engine actually used ("itimer" or "thread"); set by start().
-        self.mode: str | None = None
+        self.engine: str | None = None
         self.samples: dict[tuple[str, ...], int] = {}
         self.sample_count = 0
         self._running = False
@@ -109,13 +101,10 @@ class SamplingProfiler:
 
     # -- engine selection ----------------------------------------------------
 
-    def _resolve_mode(self) -> str:
-        if self.target_thread_id is not None:
-            return "thread"
-        if self.requested_mode != "auto":
-            return self.requested_mode
+    def _engine(self) -> str:
         can_itimer = (
-            hasattr(signal, "setitimer")
+            self.target_thread_id is None
+            and hasattr(signal, "setitimer")
             and hasattr(signal, "SIGPROF")
             and threading.current_thread() is threading.main_thread()
         )
@@ -147,8 +136,8 @@ class SamplingProfiler:
             raise RuntimeError("profiler already running")
         if _active_profiler is not None:
             raise RuntimeError("another SamplingProfiler is already active")
-        self.mode = self._resolve_mode()
-        if self.mode == "itimer":
+        self.engine = self._engine()
+        if self.engine == "itimer":
             self._previous_handler = signal.signal(
                 signal.SIGPROF, self._on_sigprof
             )
@@ -177,7 +166,7 @@ class SamplingProfiler:
         global _active_profiler
         if not self._running:
             return self
-        if self.mode == "itimer":
+        if self.engine == "itimer":
             signal.setitimer(signal.ITIMER_PROF, 0.0, 0.0)
             if self._previous_handler is not None:
                 signal.signal(signal.SIGPROF, self._previous_handler)
@@ -200,16 +189,16 @@ class SamplingProfiler:
         return False
 
 
-def profile(fn, *args, interval_s: float = DEFAULT_INTERVAL_S, mode: str = "auto"):
+def profile(fn, *args, interval_s: float = DEFAULT_INTERVAL_S):
     """Run ``fn(*args)`` under a profiler; returns ``(result, profiler)``."""
-    prof = SamplingProfiler(interval_s=interval_s, mode=mode)
+    prof = SamplingProfiler(interval_s=interval_s)
     with prof:
         result = fn(*args)
     return result, prof
 
 
 def profile_overhead(
-    fn, repeat: int = 3, interval_s: float = DEFAULT_INTERVAL_S, mode: str = "auto"
+    fn, repeat: int = 3, interval_s: float = DEFAULT_INTERVAL_S
 ) -> tuple[float, "SamplingProfiler"]:
     """Measure the profiler's relative overhead on ``fn``.
 
@@ -224,7 +213,7 @@ def profile_overhead(
     for _ in range(repeat):
         fn()
     bare = time.perf_counter() - bare
-    prof = SamplingProfiler(interval_s=interval_s, mode=mode)
+    prof = SamplingProfiler(interval_s=interval_s)
     profiled = time.perf_counter()
     with prof:
         for _ in range(repeat):

@@ -15,10 +15,12 @@ own pipe and holds at most one item, so blame is exact:
 - a failed item gets up to ``retries`` more attempts, each after a capped,
   jittered backoff (:mod:`repro.robust.backoff`) that waits on a timer
   while the other items keep running;
-- with ``telemetry_dir`` every execution runs under its own
-  :class:`~repro.obs.pipeline.spooled_cell`, read back when the execution
-  ends, so counter totals and span counts match between ``jobs=1`` and
-  ``jobs=N``.
+- an item submitted while a recorder is active is recorded: each of its
+  executions runs under its own :class:`~repro.obs.pipeline.recorded_cell`,
+  a child of that recorder's trace context with its ``sim_events``
+  setting, and the cell record comes back with the answer, so counter
+  totals and span counts match between ``jobs=1`` and ``jobs=N``.  Other
+  items run with tracing off.
 
 Two ways in.  :meth:`ExecutionPool.submit` hands over one item and returns
 at once; :meth:`ExecutionPool.poll` waits for the pool's next events
@@ -27,11 +29,11 @@ from another thread) and runs each finished item's callback.
 :meth:`ExecutionPool.run` is "submit all, poll until done", for sweeps and
 batches.
 
-Items (argument tuples; bare values are 1-tuples) and results cross the
-pipe pickled; anything else an item needs must travel with it or be bound
-into the callable (:func:`functools.partial`).  Each worker closes every
-socket it inherited except its own pipe, so a connection its parent closes
-is never held half-open by a worker.
+Items (argument tuples; bare values are 1-tuples), results and cell
+records cross the pipe pickled; anything else an item needs must travel
+with it or be bound into the callable (:func:`functools.partial`).  Each
+worker closes every socket it inherited except its own pipe, so a
+connection its parent closes is never held half-open by a worker.
 """
 
 from __future__ import annotations
@@ -45,16 +47,13 @@ import stat
 import time
 import weakref
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait
-from pathlib import Path
 from typing import Callable, Sequence
 
 from ..obs import recorder as obs
-from ..obs.pipeline import (
-    CellTelemetry, SpoolMerge, clear_spools, current_context, read_spool_from,
-    spool_path, spooled_cell,
-)
+from ..obs.pipeline import SpoolMerge, recorded_cell
 from .backoff import RetryPolicy
 
 #: Wait before a retry: 50 ms doubling, capped at 5 s, jittered.
@@ -108,7 +107,8 @@ class SweepResult:
     attempts: int = 0
     #: Workers replaced because they died or were killed as hung.
     pool_restarts: int = 0
-    #: Merged worker telemetry (populated only with a ``telemetry_dir``).
+    #: The batch's cell records, merged (populated only when a recorder
+    #: was active at the start of the batch).
     telemetry: SpoolMerge | None = None
 
     @property
@@ -147,14 +147,25 @@ class PoolConfig:
 # -- worker side ---------------------------------------------------------------
 
 
-def _call(fn: Callable, args: tuple, spool: tuple | None):
-    """Run one item; with ``spool = (directory, context, cell)`` under a
-    spooled recorder, so its telemetry outlives the process.  A raising
-    item is still spooled (``ok=False``) because it still executed."""
-    if spool is None:
-        return fn(*args)
-    with spooled_cell(*spool):
-        return fn(*args)
+def _call(fn: Callable, args: tuple, trace: tuple | None) -> tuple:
+    """Run one item: ``(True, value, record)``, or ``(False, (error_type,
+    message), record)`` when it raised.  With ``trace = (context, cell,
+    sim_events)`` the item runs under a
+    :class:`~repro.obs.pipeline.recorded_cell` and ``record`` is its cell
+    record (``ok: false`` when it raised, since it still executed); without
+    one it runs with tracing off and ``record`` is None."""
+    cell = recorded_cell(*trace) if trace is not None else None
+    previous = obs.set_recorder(None)
+    try:
+        with cell or nullcontext():
+            value = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the item's own failure
+        outcome = (False, (type(exc).__name__, str(exc)))
+    else:
+        outcome = (True, value)
+    finally:
+        obs.set_recorder(previous)
+    return (*outcome, cell and cell.record)
 
 
 def _close_inherited_sockets(keep: int) -> None:
@@ -181,26 +192,26 @@ def _close_inherited_sockets(keep: int) -> None:
 
 
 def _worker_main(conn, fn: Callable) -> None:
-    """A worker's life: receive ``(args, spool)``, answer ``(True, value)``
-    or ``(False, (error_type, message))``, exit when the pipe closes."""
+    """A worker's life: receive ``(args, trace)``, answer with
+    :func:`_call`'s triple, exit when the pipe closes."""
     _close_inherited_sockets(conn.fileno())
     # Ctrl-C reaches the whole process group; the parent stops workers.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     while True:
         try:
-            args, spool = conn.recv()
+            args, trace = conn.recv()
         except EOFError:
             return
-        try:
-            reply = (True, _call(fn, args, spool))
-        except Exception as exc:  # noqa: BLE001 - the item's own failure
-            reply = (False, (type(exc).__name__, str(exc)))
+        reply = _call(fn, args, trace)
         try:
             conn.send(reply)
         except OSError:  # the parent is gone
             return
         except Exception as exc:  # noqa: BLE001 - a value that won't pickle
-            conn.send((False, (type(exc).__name__, str(exc))))
+            record = reply[2]
+            if record is not None:
+                record["ok"] = False
+            conn.send((False, (type(exc).__name__, str(exc)), record))
 
 
 class _Worker:
@@ -246,14 +257,16 @@ class Job:
     timeout_s: float | None = None
     on_start: Callable[["Job"], bool] | None = None
     cell: int = 0
-    #: ``(directory, context, cell)`` of a spooled execution, else None.
-    spool: tuple | None = None
+    #: ``(context, cell, sim_events)`` each execution is recorded under,
+    #: from the recorder active at submit; None: not recorded.
+    trace: tuple | None = None
     attempts: int = 0
     #: Workers this job's attempts cost (deaths and hung kills).
     restarts: int = 0
     result: object = None
-    #: Spool records of this job's executions, read as each one ends.
-    telemetry: list[CellTelemetry] = field(default_factory=list)
+    #: Cell records of this job's executions, one per attempt that
+    #: returned or raised (a worker that died took its record along).
+    telemetry: list[dict] = field(default_factory=list)
     #: Monotonic start of the running attempt.
     started: float = 0.0
 
@@ -275,15 +288,9 @@ class ExecutionPool:
     thread may drive a pool; :meth:`wake` is the one call safe from others.
     """
 
-    def __init__(
-        self,
-        fn: Callable,
-        config: PoolConfig | None = None,
-        telemetry_dir: str | os.PathLike | None = None,
-    ) -> None:
+    def __init__(self, fn: Callable, config: PoolConfig | None = None) -> None:
         self.fn = fn
         self.config = config or PoolConfig()
-        self.telemetry_dir = telemetry_dir
         #: Units of work handed over — :meth:`run` calls and
         #: :meth:`submit` calls, each a batch of one — and totals across
         #: them.
@@ -300,8 +307,6 @@ class ExecutionPool:
         self._finished: list[Job] = []
         self._seq = itertools.count()
         self._rng = _RETRY.rng(0)
-        #: Bytes of each process's spool file already read, by pid.
-        self._spool_read: dict[int, int] = {}
         self._wake_r, self._wake_w = os.pipe()
         os.set_blocking(self._wake_r, False)
         os.set_blocking(self._wake_w, False)
@@ -339,8 +344,7 @@ class ExecutionPool:
         idle worker now (forking one while fewer than ``jobs`` exist) or
         waits for one.  ``on_done(job)`` runs from a later :meth:`poll`."""
         self.batches += 1
-        job = self._job(item, on_done, on_start, self.batches,
-                        current_context() if self.telemetry_dir else None)
+        job = self._job(item, on_done, on_start, self.batches)
         self._enqueue(job)
         return job
 
@@ -376,24 +380,21 @@ class ExecutionPool:
         the batch."""
         return self._run(items, range(len(items)))
 
-    def _run(self, items, cells, on_result=None) -> SweepResult:
+    def _run(self, items, cells, on_done=None) -> SweepResult:
         """:meth:`run` for the sweep driver: ``cells`` are the items' ids
-        (spool cell ids and :attr:`SweepFailure.index`), and
-        ``on_result(cell, value)`` sees each success as it lands."""
+        (cell record ids and :attr:`SweepFailure.index`), and
+        ``on_done(job)`` sees each finished job as it lands."""
         self.batches += 1
         left = len(items)
 
         def done(job: Job) -> None:
             nonlocal left
             left -= 1
-            if on_result is not None and not isinstance(job.result, SweepFailure):
-                on_result(job.cell, job.result)
+            if on_done is not None:
+                on_done(job)
 
-        context = current_context() if self.telemetry_dir else None
-        jobs = [
-            self._job(item, done, None, cell, context)
-            for item, cell in zip(items, cells)
-        ]
+        recorder = obs.get_recorder()
+        jobs = [self._job(item, done, None, cell) for item, cell in zip(items, cells)]
         if jobs:
             with obs.span("sweep", cells=len(jobs), jobs=self.config.jobs):
                 try:
@@ -413,39 +414,31 @@ class ExecutionPool:
             attempts=sum(job.attempts for job in jobs),
             pool_restarts=sum(job.restarts for job in jobs),
         )
-        if self.telemetry_dir is not None:
-            cells = [c for job in jobs for c in job.telemetry]
-            cells.sort(key=lambda c: (c.start_ns, c.pid, c.cell))
-            result.telemetry = SpoolMerge(cells)
-            recorder = obs.get_recorder()
-            if recorder is not None:
-                result.telemetry.merge_into(recorder)
+        if recorder is not None:
+            result.telemetry = SpoolMerge.from_records(
+                record for job in jobs for record in job.telemetry
+            )
+            result.telemetry.merge_into(recorder)
         return result
 
     # -- internals --------------------------------------------------------------
 
-    def _job(self, item, on_done, on_start, cell, context) -> Job:
-        spool = None
-        if self.telemetry_dir is not None:
-            spool = (os.fspath(self.telemetry_dir), context.child(f"cell-{cell}"), cell)
+    def _job(self, item, on_done, on_start, cell) -> Job:
+        """A job for ``item``, recorded if a recorder is active now."""
+        recorder = obs.get_recorder()
+        trace = None
+        if recorder is not None:
+            trace = (recorder.context.child(f"cell-{cell}"), cell, recorder.sim_events)
         return Job(
             args=item if isinstance(item, tuple) else (item,),
             on_done=on_done,
             timeout_s=self.config.timeout_s,
             on_start=on_start,
             cell=cell,
-            spool=spool,
+            trace=trace,
         )
 
     def _enqueue(self, job: Job) -> None:
-        if self.telemetry_dir is not None and not (
-            self._busy or self._ready or self._timers
-        ):
-            # Nothing in flight, so no worker is writing a spool: the
-            # previous items' spools can go.
-            Path(self.telemetry_dir).mkdir(parents=True, exist_ok=True)
-            clear_spools(self.telemetry_dir)
-            self._spool_read.clear()
         self._ready.append(job)
         self._dispatch()
 
@@ -469,7 +462,7 @@ class ExecutionPool:
                 self._fail(job, type(exc).__name__, str(exc))
                 continue
             try:
-                worker.conn.send((job.args, job.spool))
+                worker.conn.send((job.args, job.trace))
             except Exception as exc:  # noqa: BLE001 - unpicklable item, dead pipe
                 worker.kill()
                 self._restarted(job)
@@ -541,7 +534,7 @@ class ExecutionPool:
     def _collect(self, worker: _Worker, job: Job) -> None:
         """A busy worker answered or died."""
         try:
-            ok, payload = worker.conn.recv()
+            reply = worker.conn.recv()
         except (EOFError, OSError):
             worker.proc.join()
             worker.conn.close()
@@ -551,11 +544,7 @@ class ExecutionPool:
             self._fail(job, "WorkerDied", message)
             return
         self._idle.append(worker)
-        self._read_spool(job, worker.proc.pid)
-        if ok:
-            self._finish(job, payload)
-        else:
-            self._fail(job, *payload)
+        self._settle(job, *reply)
 
     def _run_inline(self) -> None:
         if not self._ready:
@@ -565,16 +554,8 @@ class ExecutionPool:
             if not self._ready:
                 return
         job = self._ready.popleft()
-        if not self._begin(job):
-            return
-        try:
-            value = _call(self.fn, job.args, job.spool)
-        except Exception as exc:  # noqa: BLE001
-            self._read_spool(job, os.getpid())
-            self._fail(job, type(exc).__name__, str(exc))
-        else:
-            self._read_spool(job, os.getpid())
-            self._finish(job, value)
+        if self._begin(job):
+            self._settle(job, *_call(self.fn, job.args, job.trace))
 
     def _drain_wake(self) -> None:
         try:
@@ -583,20 +564,15 @@ class ExecutionPool:
         except BlockingIOError:
             pass
 
-    def _read_spool(self, job: Job, pid: int) -> None:
-        """Take the spool records ``pid`` wrote for ``job``'s execution that
-        just ended: each process runs one item at a time, so they are the
-        lines after the ones already read."""
-        if job.spool is None:
-            return
-        cells, self._spool_read[pid] = read_spool_from(
-            spool_path(self.telemetry_dir, pid), self._spool_read.get(pid, 0)
-        )
-        job.telemetry += cells
-
-    def _finish(self, job: Job, value) -> None:
-        job.result = value
-        self._finished.append(job)
+    def _settle(self, job: Job, ok: bool, payload, record: dict | None) -> None:
+        """An attempt ended with an answer (:func:`_call`'s triple)."""
+        if record is not None:
+            job.telemetry.append(record)
+        if ok:
+            job.result = payload
+            self._finished.append(job)
+        else:
+            self._fail(job, *payload)
 
     def _fail(self, job: Job, error_type: str, message: str) -> None:
         """A failed attempt: retried after a backoff while attempts remain,

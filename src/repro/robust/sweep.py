@@ -4,12 +4,14 @@ An experiment sweep maps one cell function over a parameter grid.
 :func:`run_sweep_robust` runs the grid as one
 :class:`~repro.robust.pool.ExecutionPool` batch, so a sweep keeps every
 guarantee of the pool — per-cell stall timeouts, bounded retry, exact blame
-for a worker that dies, cross-process telemetry — and adds **JSONL
-checkpoint/resume**: each completed cell is appended to a checkpoint file
-as it finishes (pickle + base64 for exact round-trip fidelity, plus a
-human-readable preview); re-running with the same checkpoint recomputes
-only the missing cells, so an interrupted sweep resumes where it stopped
-and produces results identical to an uninterrupted run.
+for a worker that dies, cross-process telemetry — and adds two files, each
+written by this process alone as cells land: **JSONL checkpoint/resume**
+(each completed cell appended to a checkpoint file as it finishes, pickle +
+base64 for exact round-trip fidelity, plus a human-readable preview;
+re-running with the same checkpoint recomputes only the missing cells, so
+an interrupted sweep resumes where it stopped and produces results
+identical to an uninterrupted run) and a **telemetry spool** (each
+execution's cell record, which the pool brought back with its answer).
 
 Results always come back in input order.  Cells must be independent; with
 ``jobs > 1`` their arguments and results must pickle.
@@ -20,10 +22,13 @@ from __future__ import annotations
 import base64
 import os
 import pickle
+from contextlib import nullcontext
+from pathlib import Path
 from typing import Callable, Sequence
 
-from ..obs.pipeline import append_jsonl, read_jsonl
-from .pool import ExecutionPool, PoolConfig, SweepResult
+from ..obs import recorder as obs
+from ..obs.pipeline import append_cell, append_jsonl, clear_spools, read_jsonl
+from .pool import ExecutionPool, Job, PoolConfig, SweepResult
 from .pool import SweepError, SweepFailure  # noqa: F401  (re-export)
 
 
@@ -87,22 +92,34 @@ def run_sweep_robust(
     at ``jobs == 1``; the pool's workers are stopped before this returns).
     ``checkpoint`` names a JSONL file appended to as cells finish and
     consulted before computing anything — pass the same path again to
-    resume.  ``telemetry_dir`` spools every cell execution there under a
-    child of the current trace context (cell ids are grid indices, also on
-    resume) and merges the spools into the active recorder and
-    ``result.telemetry``.  Returns a :class:`SweepResult`; failed cells
+    resume.  Under an active recorder every cell execution is recorded
+    under a child of its trace context (cell ids are grid indices, also on
+    resume) and merged into that recorder and ``result.telemetry``.
+    ``telemetry_dir`` is cleared of earlier spools, records the sweep under
+    a default recorder when none is active, and gets each finished cell's
+    records as it lands.  Returns a :class:`SweepResult`; failed cells
     appear as :class:`SweepFailure` entries instead of aborting the sweep.
     """
     config = PoolConfig(jobs=max(jobs, 1), timeout_s=timeout_s, retries=retries)
     done = load_checkpoint(checkpoint) if checkpoint is not None else {}
     pending = [i for i in range(len(params)) if i not in done]
+    if telemetry_dir is not None:
+        # A new sweep must not merge a previous sweep's telemetry.
+        Path(telemetry_dir).mkdir(parents=True, exist_ok=True)
+        clear_spools(telemetry_dir)
 
-    def record(i: int, value) -> None:
-        if checkpoint is not None:
-            append_jsonl(checkpoint, _encode_cell(i, value))
+    def landed(job: Job) -> None:
+        if checkpoint is not None and not isinstance(job.result, SweepFailure):
+            append_jsonl(checkpoint, _encode_cell(job.cell, job.result))
+        if telemetry_dir is not None:
+            for record in job.telemetry:
+                append_cell(telemetry_dir, record)
 
-    with ExecutionPool(fn, config, telemetry_dir) as pool:
-        result = pool._run([params[i] for i in pending], pending, on_result=record)
+    # The pool records cells only under a recorder, and a spool needs them.
+    untraced = telemetry_dir is not None and obs.get_recorder() is None
+    with obs.recording() if untraced else nullcontext():
+        with ExecutionPool(fn, config) as pool:
+            result = pool._run([params[i] for i in pending], pending, on_done=landed)
     fresh = dict(zip(pending, result.results))
     result.results = [fresh[i] if i in fresh else done[i] for i in range(len(params))]
     result.resumed = len(params) - len(pending)

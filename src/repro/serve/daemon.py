@@ -577,7 +577,6 @@ class ScheduleServer:
             return "400 Bad Request", "text/plain", b"format: html|collapsed\n"
         prof = SamplingProfiler(
             interval_s=interval_ms / 1e3,
-            mode="thread",
             target_thread_id=(
                 self._dispatcher.ident if self._dispatcher is not None else None
             ),

@@ -62,14 +62,17 @@ reproduces that result through the canonical translation (the scheduler
 tie-breaks by program index, never by name; pinned in
 ``tests/serve/test_canonical.py``).
 
-Telemetry: every arrival runs under a ``serve.batch`` span and every
-completion merges its worker's spooled telemetry; with ``spool_dir`` each
-is one spooled cell, on disk before any reply it covers is sent (so
-``repro metrics`` / ``repro top`` work on a live daemon's spool
-directory).  Each answered request gets a ``serve.request`` span, and the
-registry carries ``serve.requests`` / ``serve.errors`` counters plus
-per-request-class latency histograms
-(``serve.request.<scheduler>.duration_s``).
+Telemetry: every arrival runs under a ``serve.batch`` span.  A miss
+submitted while a recorder is active is recorded on its worker, and its
+cell record, which comes back with the answer, is merged into the
+recorder active at completion.  With ``spool_dir`` every arrival and every
+completion is one spooled cell, written by the service alone and on disk
+before any reply it covers is sent (so ``repro metrics`` / ``repro top``
+work on a live daemon's spool directory); its recorder keeps no
+cycle-level simulator events, and neither do its misses' records.  Each
+answered request gets a ``serve.request`` span, and the registry carries
+``serve.requests`` / ``serve.errors`` counters plus per-request-class
+latency histograms (``serve.request.<scheduler>.duration_s``).
 """
 
 from __future__ import annotations
@@ -79,7 +82,6 @@ import time
 import uuid
 from contextlib import contextmanager
 from functools import partial
-from pathlib import Path
 from typing import Callable
 
 from ..core.schedule import schedule_digest
@@ -172,10 +174,6 @@ class ScheduleService:
         self.cache = ScheduleCache(
             capacity=cache_size, path=cache_path, registry=self.registry
         )
-        # The pool spools worker telemetry into its own subdirectory: it
-        # clears that directory whenever it goes idle, which must never
-        # delete the daemon's own spool files one level up.
-        pool_spool = Path(spool_dir) / "pool" if spool_dir is not None else None
         self.pool = ExecutionPool(
             partial(
                 compute_request,
@@ -183,7 +181,6 @@ class ScheduleService:
                 node_budget=node_budget,
             ),
             PoolConfig(jobs=jobs, timeout_s=timeout_s, retries=retries),
-            telemetry_dir=pool_spool,
         )
         self.spool_dir = spool_dir
         self.context = TraceContext.new()
@@ -469,7 +466,7 @@ class ScheduleService:
     def _respond(self, flight: list[dict], job) -> None:
         recorder = obs.get_recorder()
         if recorder is not None and job.telemetry:
-            SpoolMerge(job.telemetry).merge_into(recorder)
+            SpoolMerge.from_records(job.telemetry).merge_into(recorder)
         end = time.perf_counter_ns()
         for slot in flight:
             slot["phases"].append(

@@ -50,13 +50,13 @@ def request_trace_context(trace_id: str | None, parent_span_id: str | None):
     """Re-stamp the active recorder's context with the *request's* trace id
     for the duration of one compute.
 
-    Inside a pool worker the active recorder is the per-batch
-    ``spooled_cell`` recorder, whose context carries the daemon's batch
-    trace id.  Spans recorded while this context manager is active are
-    instead stamped with the distributed trace id the client supplied — so
-    a request's worker-side spans join *its* trace across the fork
-    boundary, not just the worker's pid.  No-op when tracing is off or the
-    request is untraced.
+    Inside a pool worker the active recorder is the item's own
+    :class:`~repro.obs.pipeline.recorded_cell` recorder, whose context
+    carries the daemon's trace id.  Spans recorded while this context
+    manager is active are instead stamped with the distributed trace id the
+    client supplied — so a request's worker-side spans join *its* trace
+    across the fork boundary, not just the worker's pid.  No-op when
+    tracing is off or the request is untraced.
     """
     rec = obs.get_recorder()
     if rec is None or trace_id is None:
@@ -111,7 +111,7 @@ def compute_schedule(
     digest (:meth:`repro.core.schedule.Schedule.digest`), a ``"worker"``
     block — pid, per-phase wall times, the request's trace id — that rides
     back through the pool pickle so the service can graft worker spans
-    into the request's span tree even when spooling is off, and (only when
+    into the request's span tree even when tracing is off, and (only when
     the guard fell back) a ``"degraded"`` diagnostic dict.  The
     ``simulate`` phase is the guard's verification, ``schedule`` the rest.
 

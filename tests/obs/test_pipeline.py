@@ -11,9 +11,9 @@ from repro.obs.pipeline import (
     CellTelemetry,
     TraceContext,
     append_cell,
+    append_jsonl,
     cell_record,
     clear_spools,
-    current_context,
     iter_spool_records,
     merge_spools,
     read_spools,
@@ -41,12 +41,6 @@ class TestTraceContext:
     def test_dict_roundtrip(self):
         ctx = TraceContext.new().child("cell-1")
         assert TraceContext.from_dict(ctx.to_dict()) == ctx
-
-    def test_current_context_is_recorders(self):
-        with recording() as rec:
-            assert current_context() is rec.context
-        # Tracing off: a fresh root context, never None.
-        assert current_context().trace_id
 
     def test_recorder_stamps_context_on_spans(self):
         ctx = TraceContext.new()
@@ -153,6 +147,30 @@ class TestSpoolReading:
         _run_cell(tmp_path, TraceContext.new(), 0)
         assert clear_spools(tmp_path) == 1
         assert read_spools(tmp_path) == []
+
+    def test_non_utf8_line_skipped_by_every_reader(self, tmp_path):
+        """One line of invalid UTF-8 is a torn line like any other: the
+        cache store, a sweep checkpoint and a spool each keep their good
+        line and skip the bad one."""
+        from repro.robust.sweep import load_checkpoint, run_sweep_robust
+        from repro.serve.cache import ScheduleCache
+
+        bad = b'{"digest": "\xff\xfe\n'
+        store = tmp_path / "store.jsonl"
+        append_jsonl(store, {"digest": "d0", "entry": {"makespan": 3}})
+        checkpoint = tmp_path / "checkpoint.jsonl"
+        run_sweep_robust(abs, [-4], checkpoint=checkpoint)
+        spool = tmp_path / "spool"
+        _run_cell(spool, TraceContext.new(), 0)
+        for path in (store, checkpoint, spool_path(spool)):
+            with path.open("ab") as fh:
+                fh.write(bad)
+
+        cache = ScheduleCache(path=store)
+        assert cache.get("d0") == {"makespan": 3}
+        assert cache.store_lines == 2
+        assert load_checkpoint(checkpoint) == {0: 4}
+        assert [c.cell for c in read_spools(spool)] == [0]
 
     def test_unknown_version_skipped(self, tmp_path):
         path = spool_path(tmp_path)

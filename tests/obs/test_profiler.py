@@ -1,5 +1,7 @@
 """Tests for the sampling profiler and flamegraph rendering."""
 
+import threading
+
 import pytest
 
 from repro.obs.profiler import (
@@ -24,34 +26,58 @@ def _spin(ms: float = 120.0) -> int:
     return total
 
 
+def _thread_profiler(interval_s: float) -> SamplingProfiler:
+    """A profiler of the calling thread on the thread engine."""
+    return SamplingProfiler(
+        interval_s=interval_s, target_thread_id=threading.get_ident()
+    )
+
+
 class TestSamplingProfiler:
-    @pytest.mark.parametrize("mode", ["thread", "itimer"])
-    def test_collects_samples_on_cpu_bound_fn(self, mode):
-        prof = SamplingProfiler(interval_s=0.002, mode=mode)
+    @pytest.mark.parametrize("engine", ["thread", "itimer"])
+    def test_collects_samples_on_cpu_bound_fn(self, engine):
+        if engine == "thread":
+            prof = _thread_profiler(0.002)
+        else:
+            prof = SamplingProfiler(interval_s=0.002)
         with prof:
             _spin()
         assert prof.sample_count > 0
-        assert prof.mode in ("thread", "itimer")
+        assert prof.engine == engine
         leaves = {stack[-1] for stack in prof.samples}
         assert any("_spin" in leaf for leaf in leaves)
         # Stack roots point back at this test via pytest's runner.
         assert all(isinstance(s, tuple) and s for s in prof.samples)
 
     def test_auto_mode_resolves(self):
+        # On the main thread with setitimer available, the itimer runs.
         prof = SamplingProfiler(interval_s=0.002)
         with prof:
             _spin(40)
-        assert prof.mode in ("thread", "itimer")
+        assert prof.engine == "itimer"
+
+    def test_off_main_thread_uses_thread_engine(self):
+        engines = []
+
+        def run():
+            with SamplingProfiler(interval_s=0.002) as prof:
+                _spin(40)
+            engines.append((prof.engine, prof.sample_count))
+
+        t = threading.Thread(target=run)
+        t.start()
+        t.join()
+        assert engines[0][0] == "thread" and engines[0][1] > 0
 
     def test_one_profiler_per_process(self):
-        outer = SamplingProfiler(interval_s=0.01, mode="thread")
-        inner = SamplingProfiler(interval_s=0.01, mode="thread")
+        outer = _thread_profiler(0.01)
+        inner = _thread_profiler(0.01)
         with outer:
             with pytest.raises(RuntimeError, match="already"):
                 inner.start()
 
     def test_reusable_after_stop(self):
-        prof = SamplingProfiler(interval_s=0.002, mode="thread")
+        prof = _thread_profiler(0.002)
         with prof:
             _spin(30)
         first = prof.sample_count
@@ -60,13 +86,13 @@ class TestSamplingProfiler:
         assert prof.sample_count >= first
 
     def test_profile_helper_returns_result_and_profiler(self):
-        result, prof = profile(_spin, 60, interval_s=0.002, mode="thread")
+        result, prof = profile(_spin, 60, interval_s=0.002)
         assert result == _spin(0.0) or result > 0
         assert prof.sample_count > 0
 
     def test_profile_overhead_is_small(self):
         overhead, prof = profile_overhead(
-            lambda: _spin(50), repeat=2, interval_s=0.005, mode="thread"
+            lambda: _spin(50), repeat=2, interval_s=0.005
         )
         assert prof.sample_count > 0
         # The ISSUE gate is <5% on the E10 workload with the default 5 ms
@@ -123,15 +149,13 @@ class TestFlamegraph:
         assert "<svg" in out.read_text()
 
     def test_real_profile_renders(self):
-        _, prof = profile(_spin, 60, interval_s=0.002, mode="thread")
+        _, prof = profile(_spin, 60, interval_s=0.002)
         html = flamegraph_html(prof.samples)
         assert "_spin" in html
 
 
 class TestTargetThread:
     def test_profiles_a_specific_thread(self):
-        import threading
-
         done = threading.Event()
         started = threading.Event()
         ident = {}
@@ -159,9 +183,7 @@ class TestTargetThread:
         )
 
     def test_target_thread_forces_thread_mode(self):
-        prof = SamplingProfiler(target_thread_id=123)
-        assert prof._resolve_mode() == "thread"
-
-    def test_target_thread_incompatible_with_itimer(self):
-        with pytest.raises(ValueError, match="itimer"):
-            SamplingProfiler(mode="itimer", target_thread_id=123)
+        # Even on the main thread, where the itimer could run.
+        with _thread_profiler(0.01) as prof:
+            pass
+        assert prof.engine == "thread"

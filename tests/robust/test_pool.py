@@ -1,11 +1,17 @@
 """Contract tests for the long-lived worker pool: workers are reused across
-batches, a worker killed at the stall timeout is replaced, and ``close()``
-reaps every worker without retiring the pool."""
+batches, a worker killed at the stall timeout is replaced, ``close()``
+reaps every worker without retiring the pool, and an item submitted under
+a recorder brings one cell record per attempt back with its answer."""
 
 import multiprocessing
 import os
+import threading
 import time
 
+import pytest
+
+from repro.obs import TraceRecorder, recording
+from repro.obs import recorder as obs
 from repro.robust.pool import ExecutionPool, PoolConfig
 from repro.robust.sweep import SweepFailure
 
@@ -21,6 +27,17 @@ def hang_on_two(x):
     if x == 2:
         time.sleep(60)
     return os.getpid()
+
+
+def counted(x):
+    """Counts and spans its own work; fails on 2, returns an unpicklable
+    lock on 3."""
+    obs.count("item.work", x)
+    with obs.span("item"):
+        pass
+    if x == 2:
+        raise ValueError("bad item")
+    return threading.Lock() if x == 3 else x * 10
 
 
 class TestWorkerReuse:
@@ -86,3 +103,76 @@ class TestClose:
             pool.close()
         assert multiprocessing.active_children() == []
         assert after and not before & after
+
+
+def _submit_one(pool, item):
+    finished = []
+    job = pool.submit(item, finished.append)
+    while not finished:
+        pool.poll()
+    return job
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+class TestCellRecords:
+    """Telemetry rides the result pipe: an item submitted under a recorder
+    brings back one cell record per attempt, none without one."""
+
+    def test_no_recorder_at_submit_means_no_record(self, jobs):
+        with ExecutionPool(counted, PoolConfig(jobs=jobs, retries=1)) as pool:
+            ok = _submit_one(pool, 1)
+            failed = _submit_one(pool, 2)
+            # Tracing turned on after submit does not record the item.
+            finished = []
+            late = pool.submit(4, finished.append)
+            with recording() as rec:
+                while not finished:
+                    pool.poll()
+        assert ok.result == 10 and isinstance(failed.result, SweepFailure)
+        assert ok.telemetry == [] and failed.telemetry == []
+        assert late.result == 40 and late.telemetry == []
+        assert "item.work" not in rec.counters
+
+    def test_one_record_per_attempt(self, jobs):
+        with recording(TraceRecorder(sim_events=False)) as rec:
+            with ExecutionPool(counted, PoolConfig(jobs=jobs, retries=1)) as pool:
+                ok = _submit_one(pool, 1)
+                failed = _submit_one(pool, 2)
+        assert ok.result == 10
+        (record,) = ok.telemetry
+        assert record["ok"] is True and record["counters"] == {"item.work": 1}
+        assert record["trace_id"] == rec.context.trace_id
+        assert record["parent_span_id"] == f"cell-{ok.cell}"
+        assert {s["name"] for s in record["spans"]} == {"sweep.cell", "item"}
+        assert (record["pid"] == os.getpid()) == (jobs == 1)
+        # A failing item: two attempts, two records, both not ok.
+        assert isinstance(failed.result, SweepFailure)
+        assert failed.result.attempts == 2
+        assert [r["ok"] for r in failed.telemetry] == [False, False]
+        assert all(r["counters"] == {"item.work": 2} for r in failed.telemetry)
+        # The records were not merged into the submitting recorder: that
+        # is the caller's (a sweep's or the service's) choice.
+        assert "item.work" not in rec.counters
+
+    def test_unpicklable_result(self, jobs):
+        with recording():
+            with ExecutionPool(counted, PoolConfig(jobs=jobs, retries=1)) as pool:
+                job = _submit_one(pool, 3)
+        if jobs == 1:
+            # In-process, nothing crosses a pipe: the attempt succeeds.
+            assert not isinstance(job.result, SweepFailure)
+            assert [r["ok"] for r in job.telemetry] == [True]
+        else:
+            assert isinstance(job.result, SweepFailure)
+            assert job.result.attempts == 2
+            assert [r["ok"] for r in job.telemetry] == [False, False]
+
+    def test_run_merges_records_into_recorder(self, jobs):
+        with recording() as rec:
+            with ExecutionPool(counted, PoolConfig(jobs=jobs, retries=0)) as pool:
+                result = pool.run([0, 1, 2, 4])
+        assert rec.counters["item.work"] == 0 + 1 + 2 + 4
+        assert rec.counters["sweep.failures"] == 1
+        cells = sorted(result.telemetry.cells, key=lambda c: c.cell)
+        assert [c.ok for c in cells] == [True, True, False, True]
+        assert sum(1 for s in rec.spans if s.name == "sweep.cell") == 4

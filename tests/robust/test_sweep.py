@@ -254,3 +254,37 @@ class TestSpoolCrashSafety:
         recovered = [s for s in rec.spans if s.name == "sweep.cell"]
         assert len(recovered) == len(merge.cells)
         assert {s.attrs["cell"] for s in recovered} == spooled
+
+
+class TestSpoolOwnership:
+    """The sweep is its spool's one writer: it clears the directory at sweep
+    start and appends each finished cell's records as it lands."""
+
+    def test_second_sweep_leaves_only_its_own_cells(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.obs.pipeline import read_spools
+
+        spool = tmp_path / "spool"
+        assert main(["sweep", "--windows", "2", "--seeds", "3",
+                     "--jobs", "2", "--spool-dir", str(spool)]) == 0
+        first = read_spools(spool)
+        assert sorted(c.cell for c in first) == [0, 1, 2]
+        assert main(["sweep", "--windows", "3", "--seeds", "2",
+                     "--jobs", "2", "--spool-dir", str(spool)]) == 0
+        capsys.readouterr()
+        second = read_spools(spool)
+        assert sorted(c.cell for c in second) == [0, 1]
+        assert {c.trace_id for c in second}.isdisjoint(c.trace_id for c in first)
+        assert all(c.pid != os.getpid() for c in second)
+
+    def test_sweep_under_default_recording_carries_sim_traces(self, tmp_path):
+        from repro.obs import recording
+        from repro.obs.pipeline import read_spools
+
+        with recording() as rec:
+            res = run_sweep_robust(
+                schedule_cell, [(2, 0), (2, 1)], jobs=2, telemetry_dir=tmp_path
+            )
+        assert res.ok
+        assert rec.sim_traces and res.telemetry.sim_traces
+        assert all(c.sim_traces for c in read_spools(tmp_path))

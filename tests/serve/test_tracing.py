@@ -1,12 +1,15 @@
 """End-to-end request tracing through the service: trace-id propagation,
 span trees, server-side timings, tail sampling, SLO accounting — including
-the cross-process hop into pool workers (the spool spans must carry the
-*request's* trace id, not the worker's own)."""
+the cross-process hop into pool workers (the worker spans merged into the
+daemon's spool must carry the *request's* trace id, not the worker's
+own)."""
+
+import os
 
 import pytest
 
 from repro.machine.presets import PAPER_CORE
-from repro.obs.pipeline import merge_spools
+from repro.obs.pipeline import merge_spools, spool_path
 from repro.serve.protocol import ScheduleRequest, server_timings
 from repro.serve.service import ScheduleService
 from repro.serve.tracebuf import TraceBuffer
@@ -122,44 +125,53 @@ class TestServerTimings:
 
 class TestCrossProcessHop:
     def test_worker_spool_spans_carry_request_trace_id(self, tmp_path):
-        """The pinned fork-hop invariant: with a real worker pool, the spans
-        the workers spool must be stamped with each *request's* trace id
-        and the worker's own pid."""
-        import os
-
-        svc = ScheduleService(jobs=2, spool_dir=tmp_path / "spool")
+        """The pinned fork-hop invariant: with a real worker pool, the
+        worker spans merged into the daemon's own spool must be stamped
+        with each *request's* trace id and the worker's own pid."""
+        spool = tmp_path / "spool"
+        svc = ScheduleService(jobs=2, spool_dir=spool)
         docs = [
             _doc(seed=8, trace_id="feedbeef"),
             _doc(seed=9, trace_id="deadc0de"),
         ]
         try:
             responses = svc.handle_batch(docs)
+            responses.append(svc.handle(_doc(seed=10)))
         finally:
             svc.close()
         assert all(r["ok"] for r in responses)
-        merge = merge_spools(tmp_path / "spool" / "pool")
+        # The daemon is the spool's one writer: its own file, no other.
+        assert [p.name for p in spool.iterdir()] == [spool_path(spool).name]
+        merge = merge_spools(spool)
         worker_spans = [
             s for s in merge.spans if s.name.startswith("serve.worker.")
         ]
-        assert {s.trace_id for s in worker_spans} == {"feedbeef", "deadc0de"}
+        assert {s.trace_id for s in worker_spans} == {
+            r["trace"]["trace_id"] for r in responses
+        }
+        assert {"feedbeef", "deadc0de"} < {s.trace_id for s in worker_spans}
         assert all(s.pid != os.getpid() for s in worker_spans)
+        # Per-batch daemon cells survived both batches: an arrival and two
+        # completions of batch 1, an arrival and a completion of batch 2.
+        assert sorted(c.cell for c in merge.cells) == [1, 1, 1, 2, 2]
         # And the retained traces report which worker pid served each one.
         by_id = {t.trace_id: t for t in svc.tracebuf.recent()}
         for trace_id in ("feedbeef", "deadc0de"):
             assert by_id[trace_id].worker_pid is not None
             assert by_id[trace_id].worker_pid != os.getpid()
 
-    def test_pool_spool_is_scoped_under_subdir(self, tmp_path):
-        """Worker spool clears must not eat the daemon's own per-batch
-        spools: the pool spools into ``spool/pool``."""
-        svc = ScheduleService(jobs=2, spool_dir=tmp_path / "spool")
+    def test_traced_daemon_records_no_worker_sim_traces(self, tmp_path):
+        """The daemon's cells record without cycle-level simulator events,
+        and so do the worker executions of its misses."""
+        spool = tmp_path / "spool"
+        svc = ScheduleService(jobs=2, spool_dir=spool)
         try:
-            svc.handle(_doc(seed=10))
-            svc.handle(_doc(seed=11))
+            assert svc.handle(_doc(seed=12))["ok"]
         finally:
             svc.close()
-        daemon_cells = merge_spools(tmp_path / "spool").cells
-        assert daemon_cells  # per-batch daemon spools survived both batches
+        merge = merge_spools(spool)
+        assert any(s.name == "serve.worker.schedule" for s in merge.spans)
+        assert merge.sim_traces == []
 
 
 class TestTailSampling:
