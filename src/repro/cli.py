@@ -24,11 +24,11 @@ Usage (also via ``python -m repro``)::
 docstring or ``examples/``); ``loop`` treats a single-block program as a
 loop body and derives its carried dependences automatically.
 
-``--trace FILE`` (on ``schedule``, ``ranks`` and ``loop``) records pipeline
-spans and cycle-level simulator events, writing both ``FILE`` (JSONL) and a
-Chrome trace-event sibling ``FILE`` with a ``.chrome.json`` suffix (openable
-in Perfetto).  ``repro trace FILE`` replays a recorded JSONL stream as a
-per-cycle timeline; see ``docs/OBSERVABILITY.md``.
+``--trace FILE`` (on ``schedule``, ``ranks``, ``loop`` and ``dot``) records
+pipeline spans and cycle-level simulator events, writing both ``FILE``
+(JSONL) and a Chrome trace-event sibling ``FILE`` with a ``.chrome.json``
+suffix (openable in Perfetto).  ``repro trace FILE`` replays a recorded
+JSONL stream as a per-cycle timeline; see ``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations
@@ -322,7 +322,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def _report_from_jsonl(path: str) -> tuple["RunReport", list]:
     """Build an in-memory RunReport (plus the sim traces) from a recorded
-    JSONL trace file."""
+    JSONL trace file: the simulator metrics, one metric per counter record
+    under its own name (no program counter is named ``sim.*``), and the
+    spans' wall time per phase."""
     from .obs.metrics import MetricsRegistry, sim_metrics
     from .obs.runreport import collect_provenance
 
@@ -336,6 +338,8 @@ def _report_from_jsonl(path: str) -> tuple["RunReport", list]:
     for r in records:
         if r.get("type") == "span":
             phases[r["name"]] = phases.get(r["name"], 0.0) + r["dur_us"] / 1e6
+        elif r.get("type") == "counter":
+            registry.counter(r["name"]).inc(r["value"])
     report = RunReport(
         name=Path(path).name,
         metrics=registry.to_dict(),

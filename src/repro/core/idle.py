@@ -22,7 +22,12 @@ copies of its map.  Each call to :func:`move_idle_slot`:
    unit earlier — d(tail) := tᵢ − 1 — and re-runs the Rank Algorithm, until
    the i-th idle slot moves later (success: keep all modifications) or the
    deadline system becomes infeasible or the slot moves earlier (failure:
-   undo the tail reductions and return the input schedule).
+   undo the tail reductions and return the input schedule).  A trial whose
+   tail cannot complete by tᵢ − 1 even with unlimited units — its
+   dependence-only earliest completion (:func:`earliest_completions`) is
+   ≥ tᵢ — is settled as infeasible without re-ranking or list scheduling:
+   a list schedule starts no node before its predecessors' completions
+   plus latencies, so the trial's schedule would miss d(tail).
 
 A slot with no tail — the unit is also idle at tᵢ − 1, or tᵢ = 0 — has an
 empty σᵢ and cannot move, so :func:`delay_idle_slots` skips it.
@@ -36,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..ir.depgraph import DependenceGraph
 from ..machine.model import MachineModel, single_unit_machine
 from ..obs import recorder as obs
 from .rank import RankEngine, default_deadline, fill_deadlines, rank_schedule
@@ -53,6 +59,20 @@ class IdleMoveResult:
     #: one unit as well as on several).
     new_time: int | None
     moved: bool
+
+
+def earliest_completions(graph: DependenceGraph) -> dict[str, int]:
+    """Each node's dependence-only earliest completion: its
+    :meth:`~repro.ir.depgraph.DependenceGraph.earliest_start_times` entry
+    plus its execution time.  No list schedule completes a node earlier.
+    Cached per graph revision (live — treat as read-only)."""
+    table = graph.analysis_cache.get("earliest_completions")
+    if table is None:
+        table = graph.analysis_cache["earliest_completions"] = {
+            n: start + graph.exec_time(n)
+            for n, start in graph.earliest_start_times().items()
+        }
+    return table
 
 
 def move_idle_slot(
@@ -74,7 +94,9 @@ def move_idle_slot(
     on entry; without one, a fresh engine is built with one
     :func:`~repro.core.rank.compute_ranks`.  Each trial re-ranks only the
     changed node and its ancestors, and schedules with
-    :meth:`RankEngine.schedule`.  On exit the engine's deadlines equal the
+    :meth:`RankEngine.schedule`; a trial whose tail's
+    :func:`earliest_completions` entry is ≥ tᵢ fails without either, as its
+    list schedule would.  On exit the engine's deadlines equal the
     returned map (on failure, restored from a snapshot taken after the
     clamps and before the first tail reduction).
     """
@@ -101,11 +123,14 @@ def move_idle_slot(
 
     current = schedule
     saved = None  # the engine's state before the first tail reduction
+    earliest = earliest_completions(graph)
     for _ in range(len(graph) + 1):
         tail = current.tail_node(t_i, unit)
         if tail is None:
             break  # nothing ends at the slot: cannot push it later
         obs.count("idle.trials")
+        if earliest[tail] >= t_i:
+            break  # the tail cannot complete by tᵢ − 1 in any list schedule
         if engine.ranks[tail] < t_i:
             break  # paper's guard: no node in σᵢ can still complete at tᵢ
         if saved is None:

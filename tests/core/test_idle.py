@@ -14,9 +14,11 @@ from repro.core import (
     rank_schedule,
     schedule_block_with_late_idle_slots,
 )
+from repro.core.idle import IdleMoveResult, earliest_completions
 from repro.core.rank import fill_deadlines
 from repro.ir import ANY, FIXED, FLOAT, MEMORY, DependenceGraph, graph_from_edges
 from repro.machine import PAPER_CORE, RS6000_LIKE, WIDE_VLIW, MachineModel
+from repro.obs import TraceRecorder, recording
 from repro.workloads import figure1_bb1, random_dag
 
 
@@ -127,15 +129,56 @@ class TestMultipleIdleSlots:
         assert s2.start("a") == 0
 
 
-def reference_delay_idle_slots(schedule, deadlines, machine, unit):
-    """Delay_Idle_Slots as Fig. 6 states it: Move_Idle_Slot on every idle
-    slot of ``unit``, earliest first, each call with a fresh engine (one
-    from-scratch rank computation on the map it is given); stay on a slot
-    while it moves later or vanishes."""
+def reference_move_idle_slot(schedule, deadlines, index, machine, unit, trials=None):
+    """Move_Idle_Slot as Fig. 4 states it, every trial run: clamp σᵢ's
+    deadlines to tᵢ, then per trial the paper's rank guard and a
+    from-scratch ``rank_schedule`` with d(tail) = tᵢ − 1.  A trial that
+    keeps the slot at tᵢ is retried on its schedule; one that opens an
+    earlier slot fails like an infeasible one.  ``trials``, when given,
+    collects each trial's (tail, tᵢ, deadlines before the reduction)."""
+    graph = schedule.graph
+    d = dict(deadlines)
+    times = schedule.idle_times(unit)
+    if index >= len(times):
+        return IdleMoveResult(schedule, d, None, False)
+    t_i = times[index]
+    prev_t = times[index - 1] if index else -1
+    for v, t in schedule.starts.items():
+        if prev_t < t < t_i and schedule.units[v] == unit:
+            d[v] = min(d[v], t_i)
+    clamped = dict(d)
+    current = schedule
+    for _ in range(len(graph) + 1):
+        tail = current.tail_node(t_i, unit)
+        if tail is None:
+            break
+        if trials is not None:
+            trials.append((tail, t_i, dict(d)))
+        if compute_ranks(graph, d, machine)[tail] < t_i:
+            break
+        d = {**d, tail: t_i - 1}
+        trial, _ = rank_schedule(graph, d, machine)
+        if trial is None:
+            break
+        new_times = trial.idle_times(unit)
+        if index >= len(new_times):
+            return IdleMoveResult(trial, d, None, True)
+        if new_times[index] > t_i:
+            return IdleMoveResult(trial, d, new_times[index], True)
+        if new_times[index] < t_i:
+            break
+        current = trial
+    return IdleMoveResult(schedule, clamped, t_i, False)
+
+
+def reference_delay_idle_slots(schedule, deadlines, machine, unit, trials=None):
+    """Delay_Idle_Slots as Fig. 6 states it: :func:`reference_move_idle_slot`
+    on every idle slot of ``unit``, earliest first; stay on a slot while it
+    moves later or vanishes."""
     d = fill_deadlines(schedule.graph, deadlines)
     index = 0
     while index < len(schedule.idle_times(unit)):
-        result = move_idle_slot(schedule, d, index, machine, unit)
+        result = reference_move_idle_slot(schedule, d, index, machine, unit, trials)
         schedule, d = result.schedule, result.deadlines
         if not result.moved:
             index += 1
@@ -215,7 +258,8 @@ class TestDelayAgainstReference:
     def test_every_move_leaves_the_engine_exact(self, instance):
         """After each Move_Idle_Slot, moved or not, the engine holds the
         returned deadlines and their from-scratch ranks; the result equals
-        that of a call that builds its own engine from ``d``; a failed move
+        that of a call that builds its own engine from ``d``, and that of
+        :func:`reference_move_idle_slot`; a failed move
         returns its input schedule with σᵢ's deadlines clamped to tᵢ and
         every other one unchanged."""
         schedule, deadlines, machine = instance
@@ -230,6 +274,9 @@ class TestDelayAgainstReference:
                 prev_t = times[index - 1] if index else -1
                 result = move_idle_slot(schedule, d, index, machine, unit, engine)
                 assert result == move_idle_slot(schedule, d, index, machine, unit)
+                assert result == reference_move_idle_slot(
+                    schedule, d, index, machine, unit
+                )
                 assert engine.deadlines == result.deadlines
                 assert engine.ranks == compute_ranks(graph, result.deadlines, machine)
                 if not result.moved:
@@ -244,6 +291,64 @@ class TestDelayAgainstReference:
                     }
                     index += 1
                 schedule, d = result.schedule, result.deadlines
+
+
+class TestEarliestCompletionBound:
+    """A trial whose tail's dependence-only earliest completion is ≥ tᵢ is
+    settled as infeasible without a list schedule."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(delay_instances())
+    def test_a_decided_trial_is_infeasible(self, instance):
+        """Over every trial of the reference Delay_Idle_Slots, unit after
+        unit: when the bound decides one, ``rank_schedule`` with
+        d(tail) = tᵢ − 1 returns None."""
+        schedule, deadlines, machine = instance
+        graph = schedule.graph
+        earliest = earliest_completions(graph)
+        d = deadlines
+        trials = []
+        for unit in machine.unit_names():
+            schedule, d = reference_delay_idle_slots(
+                schedule, d, machine, unit, trials
+            )
+        for tail, t_i, before in trials:
+            assert earliest[tail] <= t_i  # the tail completes at tᵢ
+            if earliest[tail] == t_i:
+                trial, _ = rank_schedule(graph, {**before, tail: t_i - 1}, machine)
+                assert trial is None
+
+    def test_the_bound_decides_a_chain_tail(self):
+        """a ->(1) b idles at 1 behind a, whose earliest completion is 1:
+        the trial ends without an engine update or a list schedule, and
+        returns what the reference's infeasible trial returns."""
+        g = graph_from_edges([("a", "b", 1)])
+        s, _ = rank_schedule(g)
+        assert s.idle_times() == [1]
+        d = {"a": 1, "b": 3}  # σ₀ = {a} already clamped to t₀
+        engine = RankEngine(g, d, PAPER_CORE)
+        engine.schedule = lambda: pytest.fail("a decided trial list-schedules")
+        with recording(TraceRecorder(sim_events=False)) as rec:
+            result = move_idle_slot(s, d, 0, PAPER_CORE, engine=engine)
+        assert rec.counters["idle.trials"] == 1
+        assert "rank.engine.updates" not in rec.counters
+        assert not any(span.name == "rank.incremental" for span in rec.spans)
+        unit = PAPER_CORE.unit_names()[0]
+        assert result == reference_move_idle_slot(s, d, 0, PAPER_CORE, unit)
+        assert result.schedule is s and not result.moved
+        assert engine.deadlines == d
+
+    def test_the_table_follows_its_graph(self):
+        """The table lives in the graph's analysis cache, so an edit gives a
+        recomputed one."""
+        g = graph_from_edges([("a", "b", 1)], nodes=["a", "b", "c"])
+        first = earliest_completions(g)
+        assert first == {"a": 1, "b": 3, "c": 1}
+        assert earliest_completions(g) is first
+        g.add_edge("b", "c", 2)
+        assert earliest_completions(g) == {"a": 1, "b": 3, "c": 6}
+        g.add_node("d", exec_time=2)
+        assert earliest_completions(g)["d"] == 2
 
 
 class TestSlotMovingEarlier:

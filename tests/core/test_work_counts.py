@@ -64,16 +64,18 @@ COUNTERS = (
 #: the three ``rank.engine`` update counts: Delay_Idle_Slots no longer makes
 #: updates that change no deadline (each added the graph's size to
 #: ``reused``), nor the updates that rolled a failed slot's trials back (the
-#: engine restores a snapshot instead).
+#: engine restores a snapshot instead), nor, on ``wide_vliw``, the update of
+#: a trial whose tail cannot complete by tᵢ − 1 in any list schedule (its
+#: dependence-only earliest completion decides it as infeasible).
 PINNED = {
     "wide_vliw": {
         "idle.trials": 422,
         "idle.slots_moved": 3,
         "rank.engine.full": 24,
         "rank.engine.carried": 48,
-        "rank.engine.updates": 744,
-        "rank.engine.reranked": 3350,
-        "rank.engine.reused": 10475,
+        "rank.engine.updates": 368,
+        "rank.engine.reranked": 1790,
+        "rank.engine.reused": 5181,
         "merge.relaxations": 0,
         "chop.committed": 219,
         "block_orders_sha256": "b7936e573b06f586",

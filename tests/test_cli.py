@@ -304,6 +304,19 @@ class TestTrace:
         assert "1 request waterfall(s)" in out
 
 
+def _records(path) -> list[dict]:
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def _two_column_rows(out: str) -> dict[str, str]:
+    """The rows of a command's two-column tables, by first cell."""
+    return {
+        cells[0]: cells[1]
+        for cells in map(str.split, out.splitlines())
+        if len(cells) == 2
+    }
+
+
 @pytest.fixture
 def report_pair(tmp_path):
     """Two RunReport files: a baseline and an identical copy."""
@@ -343,6 +356,46 @@ class TestReport:
         out = capsys.readouterr().out
         assert "sim.cycles" in out and "sim.stall." in out
         assert "stall attribution" in out
+
+    def test_report_lists_the_trace_counters(self, prog, tmp_path, capsys):
+        """Each counter record of a traced run is a metric of its report,
+        with the value ``repro trace`` prints for it."""
+        jsonl = tmp_path / "run.jsonl"
+        assert main(["schedule", prog, "--machine", "vliw",
+                     "--trace", str(jsonl)]) == 0
+        names = [r["name"] for r in _records(jsonl) if r["type"] == "counter"]
+        assert "idle.trials" in names and "rank.engine.updates" in names
+        capsys.readouterr()
+        assert main(["trace", str(jsonl)]) == 0
+        traced = _two_column_rows(capsys.readouterr().out)
+        assert main(["report", str(jsonl)]) == 0
+        reported = _two_column_rows(capsys.readouterr().out)
+        assert {n: reported[n] for n in names} == {n: traced[n] for n in names}
+
+    def test_report_without_counter_records(self, prog, tmp_path, capsys):
+        """A trace without counter records reports its simulator metrics
+        and phases alone, as before counters were reported."""
+        from repro.cli import _report_from_jsonl
+
+        jsonl = tmp_path / "run.jsonl"
+        assert main(["schedule", prog, "--machine", "vliw",
+                     "--trace", str(jsonl)]) == 0
+        records = _records(jsonl)
+        counters = {r["name"] for r in records if r["type"] == "counter"}
+        bare = tmp_path / "bare.jsonl"
+        bare.write_text("".join(
+            json.dumps(r) + "\n" for r in records if r["type"] != "counter"
+        ))
+        full, _ = _report_from_jsonl(str(jsonl))
+        without, _ = _report_from_jsonl(str(bare))
+        assert without.metrics == {
+            k: v for k, v in full.metrics.items() if k not in counters
+        }
+        assert without.metrics and all(k.startswith("sim.") for k in without.metrics)
+        assert without.phases == full.phases
+        capsys.readouterr()
+        assert main(["report", str(bare)]) == 0
+        assert "idle.trials" not in capsys.readouterr().out
 
     def test_report_rejects_non_report(self, prog, capsys):
         assert main(["report", prog]) == 2
