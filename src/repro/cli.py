@@ -24,7 +24,7 @@ Usage (also via ``python -m repro``)::
 docstring or ``examples/``); ``loop`` treats a single-block program as a
 loop body and derives its carried dependences automatically.
 
-``--trace FILE`` (on ``schedule``, ``ranks``, ``loop`` and ``dot``) records
+``--trace FILE`` (on ``schedule``, ``ranks`` and ``loop``) records
 pipeline spans and cycle-level simulator events, writing both ``FILE``
 (JSONL) and a Chrome trace-event sibling ``FILE`` with a ``.chrome.json``
 suffix (openable in Perfetto).  ``repro trace FILE`` replays a recorded
@@ -904,7 +904,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_loop)
 
     p = sub.add_parser("dot", help="emit Graphviz DOT for a program")
-    common(p)
+    p.add_argument("file", help="program in the repro textual format")
     p.add_argument("--loop", action="store_true",
                    help="derive and render the loop dependence graph")
     p.add_argument("--output", "-o", default=None)

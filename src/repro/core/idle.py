@@ -101,14 +101,22 @@ def move_idle_slot(
     clamps and before the first tail reduction).
     """
     machine = machine or single_unit_machine()
-    graph = schedule.graph
     times = schedule.idle_times(unit)
     if index >= len(times):
         return IdleMoveResult(schedule, dict(deadlines), None, False)
+    if engine is None:
+        engine = RankEngine(schedule.graph, deadlines, machine)
+    return _move_idle_slot(schedule, times, index, unit, engine)
+
+
+def _move_idle_slot(
+    schedule: Schedule, times: list[int], index: int, unit: Unit, engine: RankEngine
+) -> IdleMoveResult:
+    """:func:`move_idle_slot` given ``times = schedule.idle_times(unit)``,
+    an ``index`` into them and the engine holding the deadlines."""
+    graph = schedule.graph
     t_i = times[index]
     prev_t = times[index - 1] if index > 0 else -1
-    if engine is None:
-        engine = RankEngine(graph, deadlines, machine)
 
     # Step 1: clamp σᵢ deadlines to tᵢ; the engine hears only those lowered.
     # (Nodes starting at prev_t + 0 == 0 when index == 0 are covered by
@@ -198,7 +206,7 @@ def delay_idle_slots(
                 # empty and there is no tail, so the slot cannot move.
                 index += 1
                 continue
-            result = move_idle_slot(schedule, d, index, machine, unit, engine)
+            result = _move_idle_slot(schedule, times, index, unit, engine)
             schedule, d = result.schedule, result.deadlines
             if result.moved:
                 # Moved later, or eliminated so that the next slot shifted

@@ -17,34 +17,9 @@ The pipeline turns one-shot library calls into a service:
   transport-independent brain: decode, canonicalize, dedupe, cache
   lookup, pooled compute, per-request telemetry;
 - :mod:`repro.serve.daemon` — :class:`ScheduleServer`, the asyncio
-  front-end (unix-socket JSONL and minimal HTTP) with request batching;
+  front-end (unix-socket JSONL and minimal HTTP) with continuous dispatch;
 - :mod:`repro.serve.client` — blocking clients for both transports;
 - :mod:`repro.serve.harness` — the end-to-end daemon harness CI runs:
   ``repro serve-smoke``, and ``repro serve-chaos``, the smoke's cold phase
   under a :class:`~repro.robust.faults.FaultPlan`.
 """
-
-from __future__ import annotations
-
-from .cache import ScheduleCache
-from .canonical import CanonicalForm, canonical_form, payload_digest, relabel_trace
-from .protocol import (
-    PROTOCOL_VERSION,
-    SCHEDULER_NAMES,
-    ProtocolError,
-    ScheduleRequest,
-)
-from .service import ScheduleService
-
-__all__ = [
-    "CanonicalForm",
-    "PROTOCOL_VERSION",
-    "ProtocolError",
-    "SCHEDULER_NAMES",
-    "ScheduleCache",
-    "ScheduleRequest",
-    "ScheduleService",
-    "canonical_form",
-    "payload_digest",
-    "relabel_trace",
-]

@@ -16,13 +16,14 @@ anticipatory scheduling scales with prediction accuracy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from ..ir.basicblock import Trace
 from ..machine.model import MachineModel, single_unit_machine
 from .window import SimResult, simulate_trace
+
+if TYPE_CHECKING:
+    from numpy.random import Generator
 
 
 @dataclass(frozen=True)
@@ -55,9 +56,11 @@ def run_with_prediction(
     model: BranchModel,
     machine: MachineModel | None = None,
     trials: int = 32,
-    seed: int | np.random.Generator | None = 0,
+    seed: int | Generator | None = 0,
 ) -> PredictionStudy:
     """Sample misprediction patterns (iid per block boundary) and simulate."""
+    import numpy as np
+
     machine = machine or single_unit_machine()
     rng = (
         seed

@@ -452,6 +452,15 @@ class TestDot:
         assert "digraph" in out_path.read_text()
         assert "wrote" in capsys.readouterr().out
 
+    def test_trace_is_not_a_dot_option(self, prog, tmp_path, capsys):
+        # dot runs no pipeline, so a trace of it would record nothing.
+        path = tmp_path / "d.jsonl"
+        with pytest.raises(SystemExit) as exc_info:
+            main(["dot", prog, "--trace", str(path)])
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not path.exists()
+
 
 class TestSweepTelemetry:
     def test_faults_table_and_spool(self, tmp_path, capsys):
