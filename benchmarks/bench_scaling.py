@@ -8,8 +8,12 @@ instructions in well under a second.
 Each size runs under a span recorder so the emitted metrics carry a
 per-phase wall-time split per size; ``rank_delay_wall_s`` (full rank sweeps +
 incremental rank updates + idle-slot delaying) is the figure the incremental
-rank engine is measured by (see docs/PERFORMANCE.md).  Set
-``REPRO_BENCH_SMOKE=1`` to restrict the sweep to the smallest size (CI smoke).
+rank engine is measured by (see docs/PERFORMANCE.md).  Each size also
+reports the rank work it does (``counters``: engines built from scratch and
+carried, incremental updates, nodes re-ranked and reused, merge
+relaxations), which the regression gate compares exactly with the baseline.
+Set ``REPRO_BENCH_SMOKE=1`` to restrict the sweep to the smallest size (CI
+smoke).
 """
 
 import os
@@ -24,6 +28,15 @@ from repro.workloads import random_trace
 
 SIZES = ((2, 10), (4, 10), (8, 10), (4, 20), (4, 40), (8, 40))
 WINDOW = 4
+#: Work counters reported per size and compared exactly by the gate.
+COUNTERS = (
+    "rank.engine.full",
+    "rank.engine.carried",
+    "rank.engine.updates",
+    "rank.engine.reranked",
+    "rank.engine.reused",
+    "merge.relaxations",
+)
 
 
 def make_trace(blocks: int, block_size: int, seed: int = 0):
@@ -59,6 +72,7 @@ def run_size(blocks: int, size: int) -> dict:
         "max_merge_relaxations": max(s.merge.relaxations for s in res.steps),
         "phase_wall_s": phases,
         "rank_delay_wall_s": rank_delay,
+        "counters": {name: rec.counters.get(name, 0) for name in COUNTERS},
     }
 
 

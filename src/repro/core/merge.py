@@ -50,6 +50,13 @@ class MergeCarry:
       new block's nodes (plus their ancestors through cross edges) re-rank;
     - ``constrained`` — ranks under the working deadline map as left by
       Delay_Idle_Slots; on carry, old nodes shift by the chop ``shift``.
+      The new block re-ranks in neither this chain nor its relaxations: it
+      is descendant-closed and due at T here and at ``uniform_value`` in
+      the uniform chain, so its ranks are the uniform chain's shifted by
+      the difference (``RankEngine.carried_into(block_ranks=)``,
+      ``RankEngine.raise_block``), and its ancestors re-rank only where the
+      block can bind them.  The first block's engine is the uniform ranks
+      shifted, with no second rank computation.
     """
 
     uniform: RankEngine | None = None
@@ -100,7 +107,11 @@ def merge(
     :class:`MergeCarry`) and is updated in place for the next one; without
     it a fresh carry is made, and each engine starts with one
     :func:`~repro.core.rank.compute_ranks`.  Results are the same either
-    way.
+    way.  With ``old`` empty every node is the new block's, due at T, so
+    the constrained ranks are the lower-bound ranks shifted and the
+    lower-bound schedule, which completes by T, is the first attempt's
+    schedule.  Each relaxation is one
+    :meth:`~repro.core.rank.RankEngine.raise_block` of the new block.
     """
     machine = machine or single_unit_machine()
     if carry is None:
@@ -138,24 +149,39 @@ def _merge(
             cur, shift=artificial - carry.uniform_value, fill=artificial
         )
     carry.uniform_value = artificial
-    lower = carry.uniform.schedule().makespan
+    bound = carry.uniform.schedule()
+    lower = bound.makespan
 
     deadlines = {
         w: min(old_deadlines.get(w, old_makespan), old_makespan) for w in old_list
     }
     new_deadline = lower
     deadlines.update(dict.fromkeys(new_list, new_deadline))
+    # The new block is descendant-closed (no edge leaves a later block) and
+    # due at ``lower`` here, at ``artificial`` in the uniform chain: its
+    # ranks are the uniform ones shifted by the difference.
+    block_ranks = {
+        y: carry.uniform.ranks[y] + lower - artificial for y in new_list
+    }
 
-    if carry.constrained is None:
-        engine = RankEngine(cur, deadlines, machine)
+    if not old_list:
+        # Every node is the block's: the lower-bound ranks shifted, and the
+        # lower-bound schedule, which completes by ``lower``, meets them.
+        engine = RankEngine(cur, deadlines, machine, ranks=block_ranks)
+        sched: Schedule | None = bound
     else:
-        # Old nodes carry their post-delay deadlines shifted by chop;
-        # set_deadlines then applies only the (rare) binding T_old clamps
-        # as an incremental diff.
-        engine = carry.constrained.carried_into(
-            cur, shift=-carry.shift, fill=new_deadline
-        )
-        engine.set_deadlines(deadlines)
+        if carry.constrained is None:
+            engine = RankEngine(cur, deadlines, machine)
+        else:
+            # Old nodes carry their post-delay deadlines shifted by chop;
+            # set_deadlines then applies only the (rare) binding T_old
+            # clamps as an incremental diff.
+            engine = carry.constrained.carried_into(
+                cur, shift=-carry.shift, fill=new_deadline,
+                block_ranks=block_ranks,
+            )
+            engine.set_deadlines(deadlines)
+        sched = engine.schedule()
     carry.constrained = engine
     carry.shift = 0
 
@@ -167,7 +193,6 @@ def _merge(
 
     relaxations = 0
     while True:
-        sched = engine.schedule()
         if sched is not None:
             return MergeResult(sched, dict(engine.deadlines), lower,
                                relaxations, True, engine=engine)
@@ -183,7 +208,8 @@ def _merge(
             break  # heuristic regime: give up on exact deadline search
         new_deadline += 1
         relaxations += 1
-        engine.set_deadlines(dict.fromkeys(new_list, new_deadline))
+        engine.raise_block(new_list)
+        sched = engine.schedule()
 
     # Best-effort fallback: accept the greedy rank schedule and raise every
     # deadline it misses to the node's completion time, so downstream phases

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from bisect import insort
 from heapq import heappop, heappush
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ..ir.depgraph import DependenceGraph
 from ..machine.model import MachineModel, single_unit_machine
@@ -120,8 +120,8 @@ class _BackwardSlots:
 
 
 #: The closed form's pool table: each node's pool index, and per pool its
-#: capacity minus one.
-_Pools = tuple[dict[str, int], list[int]]
+#: capacity minus one.  ``(0,)`` is one pool of one unit.
+_Pools = tuple[dict[str, int], tuple[int, ...]]
 
 
 def _unit_pools(graph: DependenceGraph, machine: MachineModel) -> _Pools | None:
@@ -154,7 +154,31 @@ def _unit_pools(graph: DependenceGraph, machine: MachineModel) -> _Pools | None:
         pool_of[n] = k
         if graph.exec_time(n) != 1:
             unit_time = False
-    return (pool_of, spare) if unit_time else None
+    return (pool_of, tuple(spare)) if unit_time else None
+
+
+def _rank_tables(
+    graph: DependenceGraph, machine: MachineModel
+) -> tuple[_Pools | None, list[tuple[str, int]]]:
+    """The tables every rank sweep of ``graph`` reads: the pool table
+    (:func:`_unit_pools`) and the reverse topological order, each node with
+    its :meth:`~DependenceGraph.node_index` bit.  Built once per graph and
+    kept in ``graph.analysis_cache``, which every graph edit clears; the pool
+    table is keyed by the machine's units, so another machine never reads
+    it.  A class without a unit raises on every call (nothing is kept)."""
+    cache = graph.analysis_cache
+    rev_topo = cache.get("rank.rev_topo")
+    if rev_topo is None:
+        rev_topo = cache["rank.rev_topo"] = [
+            (x, 1 << graph.node_index(x))
+            for x in reversed(graph.topological_order())
+        ]
+    key = ("rank.pools", tuple(machine.unit_names()))
+    if key in cache:
+        pools = cache[key]
+    else:
+        pools = cache[key] = _unit_pools(graph, machine)
+    return pools, rev_topo
 
 
 def _node_rank(
@@ -179,7 +203,9 @@ def _node_rank(
     room, else ``low − 1``.  Every slot below ``low`` is empty, and every
     slot in (``low``, r] is full, where r is the rank placed last (by
     induction over the placements); ranks never increase, so that covers
-    (``low``, rank(y)].  On one unit this is ``min(rank(y), low − 1)``."""
+    (``low``, rank(y)].  On one pool of one unit this is
+    ``min(rank(y), low − 1)``, which that case runs without the pool
+    lists."""
     descendants = graph.descendants(x)
     if not descendants:
         return deadline
@@ -188,6 +214,15 @@ def _node_rank(
     succ = graph.successors(x)
     if pools is not None:
         pool_of, spare = pools
+        if spare == (0,):
+            end = ranks[order[0]] + 1
+            for y in order:
+                r_y = ranks[y]
+                end = r_y if r_y < end else end - 1
+                lat = succ.get(y)
+                if lat is not None and end - 1 - lat < rank:
+                    rank = end - 1 - lat
+            return end - 1 if end - 1 < rank else rank
         lows = [ranks[order[0]] + 1] * len(spare)
         room = [0] * len(spare)
         for y in order:
@@ -242,8 +277,8 @@ def compute_ranks(
     with obs.span("rank", nodes=len(graph)):
         d = fill_deadlines(graph, deadlines)
         ranks: dict[str, int] = {}
-        pools = _unit_pools(graph, machine)
-        for x in reversed(graph.topological_order()):
+        pools, rev_topo = _rank_tables(graph, machine)
+        for x, _ in rev_topo:
             ranks[x] = _node_rank(graph, machine, x, d[x], ranks, pools)
         return ranks
 
@@ -274,6 +309,30 @@ class RankEngine:
     node was carried too) — true for chop suffixes by construction, since a
     dependence successor never starts earlier.
 
+    Shift invariance also holds on a descendant-closed *block* N of the
+    graph, since N's ranks depend on N's deadlines alone: when every
+    deadline in N moves by c, every rank in N moves by c.  Procedure Merge
+    knows such a block's ranks in advance — a new block, from the
+    lower-bound chain's ranks (``carried_into(block_ranks=)``), and that
+    block after a +1 relaxation (:meth:`raise_block`) — so N is never
+    re-ranked, and an ancestor x ∉ N keeps its rank with no backward
+    schedule when the block cannot bind it (:meth:`_block_slots`):
+
+    (a) no descendant of x outside N changed rank in this update;
+    (b) N's own latest-fit placement (per pool, largest rank first, the
+        closed form of :func:`_node_rank`) puts every node of N in a slot
+        above every rank outside N;
+    (c) each direct successor y ∈ N has slot(y) − 1 − lat(x, y) ≥ rank(x).
+
+    In x's backward schedule N's nodes then come first, each in a slot no
+    lower than in N's own placement (a subsequence's latest-fit slots never
+    are), so N neither moves x's other placements nor sets a term below
+    rank(x).  In a relaxation x's rank already includes N, so (b) and (c)
+    must hold strictly, on the slots before the raise: then rank(x) is set
+    by the rest of its descendants, which the raise leaves alone.  The
+    bound needs the closed form (unit execution times); without it every
+    ancestor of N re-ranks.  ``docs/PERFORMANCE.md`` gives the proof.
+
     :meth:`snapshot` and :meth:`restore` save and put back the whole
     state, for a caller that tries deadline changes and may undo them.
 
@@ -299,11 +358,7 @@ class RankEngine:
         self.graph = graph
         self.machine = machine or single_unit_machine()
         self._deadlines = fill_deadlines(graph, deadlines)
-        self._pools = _unit_pools(graph, self.machine)
-        self._rev_topo = [
-            (x, 1 << graph.node_index(x))
-            for x in reversed(graph.topological_order())
-        ]
+        self._pools, self._rev_topo = _rank_tables(graph, self.machine)
         if ranks is not None:
             # Trusted seed: must equal compute_ranks(graph, deadlines,
             # machine).  Used to make engine construction free when the
@@ -339,11 +394,7 @@ class RankEngine:
         consistency.  ``updates`` may cover any subset of the nodes
         (unchanged entries are ignored); unknown names raise
         :class:`ValueError` as in :func:`fill_deadlines`."""
-        unknown = [n for n in updates if n not in self._deadlines]
-        if unknown:
-            raise ValueError(
-                f"deadlines name unknown nodes: {', '.join(sorted(unknown))}"
-            )
+        self._check_known(updates)
         dirty = {
             n for n, v in updates.items() if self._deadlines[n] != v
         }
@@ -378,6 +429,7 @@ class RankEngine:
         *,
         shift: int = 0,
         fill: int | None = None,
+        block_ranks: Mapping[str, int] | None = None,
     ) -> "RankEngine":
         """A new engine over ``graph``, seeded from this one.
 
@@ -386,12 +438,19 @@ class RankEngine:
         artificial default when None) and are recomputed along with their
         ancestors.  Nodes of this engine absent from ``graph`` are dropped.
         Sound only when the carried set is descendant-closed in the source
-        graph (see class docstring)."""
+        graph (see class docstring).
+
+        ``block_ranks``, when given, are the new nodes' ranks under
+        ``fill`` — a trusted seed, as the constructor's ``ranks=`` is.  When
+        the new nodes form a descendant-closed block of ``graph`` (a new
+        block in Procedure Merge: no edge leaves a later block) they keep
+        those ranks, and their ancestors re-rank under the block bound (see
+        class docstring); otherwise ``block_ranks`` is not read."""
         if fill is None:
             fill = default_deadline(graph)
         deadlines: dict[str, int] = {}
         seed_ranks: dict[str, int] = {}
-        new_nodes: set[str] = set()
+        new_nodes: list[str] = []
         for n in graph.nodes:
             old = self._ranks.get(n)
             if old is not None:
@@ -399,13 +458,137 @@ class RankEngine:
                 seed_ranks[n] = old + shift
             else:
                 deadlines[n] = fill
-                new_nodes.add(n)
+                new_nodes.append(n)
         engine = RankEngine(
             graph, deadlines, self.machine, ranks=seed_ranks
         )
         obs.count("rank.engine.carried")
-        engine._update(frozenset(), new_nodes)
+        mask = engine._closed_mask(new_nodes) if block_ranks else None
+        if mask:
+            for n in new_nodes:
+                engine._ranks[n] = block_ranks[n]
+            slots = engine._block_slots(new_nodes, strict=False)
+            engine._update_block(new_nodes, mask, slots, strict=False)
+        else:
+            engine._update(frozenset(), set(new_nodes))
         return engine
+
+    def raise_block(self, nodes: Iterable[str]) -> None:
+        """Raise the deadline of every node in ``nodes`` by one, as
+        Procedure Merge's relaxation does to the new block.  When ``nodes``
+        is descendant-closed, each of their ranks rises by one with no
+        backward schedule and their ancestors re-rank under the block bound
+        (see class docstring); otherwise this is :meth:`set_deadlines` of
+        the raised deadlines.  Unknown names raise :class:`ValueError`."""
+        block = list(dict.fromkeys(nodes))
+        self._check_known(block)
+        mask = self._closed_mask(block)
+        if not mask:
+            self.set_deadlines({n: self._deadlines[n] + 1 for n in block})
+            return
+        slots = self._block_slots(block, strict=True)
+        for n in block:
+            self._deadlines[n] += 1
+            self._ranks[n] += 1
+        self._update_block(block, mask, slots, strict=True)
+
+    def _check_known(self, names: Iterable[str]) -> None:
+        """Raise :class:`ValueError`, as :func:`fill_deadlines` does, when
+        ``names`` holds a node this engine does not have."""
+        unknown = [n for n in names if n not in self._deadlines]
+        if unknown:
+            raise ValueError(
+                f"deadlines name unknown nodes: {', '.join(sorted(unknown))}"
+            )
+
+    def _closed_mask(self, block: list[str]) -> int | None:
+        """The bitset of ``block`` when no edge leaves it (it holds every
+        descendant of its nodes), else None."""
+        graph = self.graph
+        mask = 0
+        for y in block:
+            mask |= 1 << graph.node_index(y)
+        for y in block:
+            if graph.reachability_row(y) & ~mask:
+                return None
+        return mask
+
+    def _block_slots(self, block: list[str], strict: bool) -> dict[str, int] | None:
+        """Bound (b) of the class docstring: each node of ``block`` with its
+        completion slot in the block's own latest-fit placement (per pool,
+        largest rank first, ties in program order: :func:`_node_rank`'s
+        closed form), when every slot lies above every rank outside the
+        block — by more than one when ``strict`` — else None.  None as well
+        without the closed form."""
+        ranks = self._ranks
+        inside = set(block)
+        top = max((r for n, r in ranks.items() if n not in inside), default=None)
+        if self._pools is None or top is None:
+            return None
+        pool_of, spare = self._pools
+        index = self.graph.node_index
+        order = sorted(block, key=lambda y: (-ranks[y], index(y)))
+        lows = [ranks[order[0]] + 1] * len(spare)
+        room = [0] * len(spare)
+        slots: dict[str, int] = {}
+        for y in order:
+            k = pool_of[y]
+            if ranks[y] < lows[k]:
+                lows[k] = ranks[y]
+                room[k] = spare[k]
+            elif room[k]:
+                room[k] -= 1
+            else:
+                lows[k] -= 1
+                room[k] = spare[k]
+            slots[y] = lows[k]
+        return slots if min(lows) - strict > top else None
+
+    def _update_block(
+        self,
+        block: list[str],
+        mask: int,
+        slots: dict[str, int] | None,
+        strict: bool,
+    ) -> None:
+        """Re-rank the ancestors of ``block`` (bitset ``mask``), a
+        descendant-closed node set whose ranks are already right.  An
+        ancestor x is skipped when no descendant of x outside the block
+        changed rank (bound (a)) and, with ``slots`` from
+        :meth:`_block_slots` (bound (b)), every direct successor y in the
+        block has slot(y) − 1 − lat(x, y) ≥ rank(x), strictly when
+        ``strict`` (bound (c))."""
+        graph = self.graph
+        ranks = self._ranks
+        affected = 0
+        for y in block:
+            affected |= graph.ancestor_row(y)
+        affected &= ~mask
+        changed = 0  # nodes outside the block whose rank changed
+        reranked = 0
+        with obs.span("rank.incremental", nodes=(affected | mask).bit_count()):
+            for x, bit in self._rev_topo:
+                if not affected & bit:
+                    continue
+                if slots is not None and not changed & graph.reachability_row(x):
+                    r_x = ranks[x]
+                    for y, lat in graph.successors(x).items():
+                        s = slots.get(y)
+                        if s is not None and s - 1 - lat - strict < r_x:
+                            break
+                    else:
+                        continue  # the block cannot bind x
+                new_rank = _node_rank(
+                    graph, self.machine, x, self._deadlines[x], ranks,
+                    self._pools,
+                )
+                reranked += 1
+                if new_rank != ranks[x]:
+                    ranks[x] = new_rank
+                    changed |= bit
+        obs.count("rank.engine.updates")
+        obs.count("rank.engine.reranked", reranked)
+        obs.count("rank.engine.reused", len(graph) - reranked)
 
     def _update(self, dirty: set[str] | frozenset, new_nodes: set[str]) -> None:
         """Recompute ranks for ``dirty ∪ new_nodes`` and their ancestors.
@@ -455,17 +638,21 @@ def list_schedule(
     Event-driven: a node whose predecessors have all issued waits in a heap
     keyed by its earliest start; time advances by one step while a ready
     node stays unissued, and otherwise jumps to the next release (no step in
-    between can issue anything).
+    between can issue anything).  A machine of one unit (PAPER_CORE)
+    schedules in :func:`_one_unit_schedule`, which jumps from one
+    completion to the next; both paths raise the same errors.
 
     ``deadlines``, when given, must cover every node: scheduling then stops
     and returns None at the first node issued to complete after its
     deadline.  An issued start never changes, so the whole schedule would
     miss that deadline too (:meth:`Schedule.is_feasible` would say False)."""
     machine = machine or single_unit_machine()
-    if sorted(priority) != sorted(graph.nodes):
-        raise ValueError("priority list must be a permutation of the graph nodes")
     # Nodes are handled by their index in ``priority``; units by their index
     # in ``unit_list``.
+    index = {n: i for i, n in enumerate(priority)}
+    # No duplicate, and the same names as the graph.
+    if len(index) != len(priority) or index.keys() != set(graph):
+        raise ValueError("priority list must be a permutation of the graph nodes")
     unit_list = machine.unit_names()
     unit_index = {u: k for k, u in enumerate(unit_list)}
     class_units: dict[str, list[int]] = {}
@@ -477,9 +664,10 @@ def list_schedule(
         compatible.append(class_units[cls])
     if not all(class_units.values()):
         raise ValueError("machine lacks a functional unit for some instruction")
-
-    index = {n: i for i, n in enumerate(priority)}
     due = None if deadlines is None else [deadlines[n] for n in priority]
+    if len(unit_list) == 1:
+        return _one_unit_schedule(graph, priority, index, unit_list[0], due)
+
     npred = [len(graph.predecessors(n)) for n in priority]
     est = [0] * len(priority)  # earliest start allowed by issued predecessors
     released = [(0, i) for i, k in enumerate(npred) if k == 0]  # a heap
@@ -532,6 +720,54 @@ def list_schedule(
         elif remaining:  # no progress possible: a dependence cycle
             raise RuntimeError("list scheduling stalled (cyclic graph?)")
     return Schedule(graph, starts, units)
+
+
+def _one_unit_schedule(
+    graph: DependenceGraph,
+    priority: Sequence[str],
+    index: Mapping[str, int],
+    unit: Unit,
+    due: list[int] | None,
+) -> Schedule | None:
+    """:func:`list_schedule` on one unit, which can run every node.  The
+    unit takes the first ready node in priority order as soon as it is free,
+    so no step between one completion and the next can issue: ready nodes
+    wait in a heap keyed by priority index, the others in a heap keyed by
+    their earliest start, and time jumps to the completion (or, when nothing
+    is ready, to the next earliest start)."""
+    npred = [len(graph.predecessors(n)) for n in priority]
+    est = [0] * len(priority)  # earliest start allowed by issued predecessors
+    ready = [i for i, k in enumerate(npred) if k == 0]  # sorted, so a heap
+    released: list[tuple[int, int]] = []  # (est, index) of the others
+    starts: dict[str, int] = {}
+    time = 0
+    remaining = len(priority)
+    while remaining:
+        while released and released[0][0] <= time:
+            heappush(ready, heappop(released)[1])
+        if not ready:
+            if not released:  # no progress possible: a dependence cycle
+                raise RuntimeError("list scheduling stalled (cyclic graph?)")
+            time = released[0][0]
+            continue
+        i = heappop(ready)
+        n = priority[i]
+        starts[n] = time
+        time += graph.exec_time(n)
+        if due is not None and time > due[i]:
+            return None
+        for s, lat in graph.successors(n).items():
+            j = index[s]
+            if time + lat > est[j]:
+                est[j] = time + lat
+            npred[j] -= 1
+            if npred[j] == 0:
+                if est[j] <= time:
+                    heappush(ready, j)
+                else:
+                    heappush(released, (est[j], j))
+        remaining -= 1
+    return Schedule(graph, starts, dict.fromkeys(starts, unit))
 
 
 def rank_priority_list(

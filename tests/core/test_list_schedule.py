@@ -3,8 +3,10 @@ replaced, kept here as the test-only reference.
 
 The reference advances time one step at a time and rescans every node at
 every step; the library version keeps released nodes in a heap and jumps
-over steps at which nothing can issue.  Both must give the same start times
-and the same units, and raise the same errors.
+over steps at which nothing can issue, and on a machine of one unit
+(``PAPER_CORE``, ``paper_machine(2)`` in ``MACHINES``) jumps from one
+completion to the next.  Both must give the same start times and the same
+units, and raise the same errors, on one unit and on several.
 """
 
 import pytest
@@ -148,20 +150,43 @@ class TestAgainstReference:
 
 
 class TestErrors:
+    """Each error on one unit (``PAPER_CORE``, a single ``FIXED`` unit) and
+    on several (``WIDE_VLIW``, two ``FIXED`` units): the two scheduling
+    paths raise alike."""
+
     @staticmethod
-    def both(graph, priority, machine, exc, match):
+    def both(graph, priority, machine, exc, match, deadlines=None):
         for schedule in (list_schedule, reference_list_schedule):
             with pytest.raises(exc, match=match):
-                schedule(graph, priority, machine)
+                if schedule is list_schedule:
+                    schedule(graph, priority, machine, deadlines)
+                else:
+                    schedule(graph, priority, machine)
 
-    @pytest.mark.parametrize(
-        "priority", [["a"], ["a", "a"], ["a", "b", "c"], ["a", "z"]]
-    )
+    @staticmethod
+    def cycle():
+        graph = DependenceGraph()
+        for name in "abc":
+            graph.add_node(name)
+        graph.add_edge("b", "c", 0)
+        graph.add_edge("c", "b", 0)
+        return graph
+
+    PRIORITIES = [["a"], ["a", "a"], ["a", "b", "c"], ["a", "z"]]
+
+    @pytest.mark.parametrize("priority", PRIORITIES)
     def test_priority_not_a_permutation(self, priority):
         graph = DependenceGraph()
         graph.add_node("a")
         graph.add_node("b")
         self.both(graph, priority, PAPER_CORE, ValueError, "permutation")
+
+    @pytest.mark.parametrize("priority", PRIORITIES)
+    def test_priority_not_a_permutation_on_several_units(self, priority):
+        graph = DependenceGraph()
+        graph.add_node("a")
+        graph.add_node("b")
+        self.both(graph, priority, WIDE_VLIW, ValueError, "permutation")
 
     def test_machine_lacks_a_unit(self):
         graph = DependenceGraph()
@@ -170,13 +195,24 @@ class TestErrors:
         machine = MachineModel(window_size=2, fu_counts={FIXED: 1})
         self.both(graph, ["a", "b"], machine, ValueError, "lacks a functional unit")
 
-    def test_cycle_makes_no_progress(self):
+    def test_machine_of_two_units_lacks_a_unit(self):
         graph = DependenceGraph()
-        for name in "abc":
-            graph.add_node(name)
-        graph.add_edge("b", "c", 0)
-        graph.add_edge("c", "b", 0)
-        self.both(graph, ["a", "b", "c"], PAPER_CORE, RuntimeError, "stalled")
+        graph.add_node("a", fu_class=FIXED)
+        graph.add_node("b", fu_class=FLOAT)
+        machine = MachineModel(window_size=2, fu_counts={FIXED: 2})
+        self.both(graph, ["a", "b"], machine, ValueError, "lacks a functional unit")
+
+    def test_cycle_makes_no_progress(self):
+        self.both(self.cycle(), ["a", "b", "c"], PAPER_CORE, RuntimeError, "stalled")
+
+    @pytest.mark.parametrize("machine", [PAPER_CORE, WIDE_VLIW],
+                             ids=["one_unit", "wide_vliw"])
+    def test_cycle_under_deadlines_makes_no_progress(self, machine):
+        """With deadlines every node meets, and on several units too."""
+        self.both(
+            self.cycle(), ["a", "b", "c"], machine, RuntimeError, "stalled",
+            dict.fromkeys("abc", 9),
+        )
 
 
 def misses(schedule, deadlines):

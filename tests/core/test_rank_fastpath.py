@@ -211,17 +211,176 @@ class TestEngineOracle:
         assert carried.ranks == compute_ranks(graph, expected, machine)
 
 
+#: One unit, typed pools beside a universal unit, and a universal pool of
+#: three: the block bound's pool shapes.
+BLOCK_MACHINES = (PAPER_CORE, TYPED_MACHINE, MachineModel(fu_counts={ANY: 3}))
+
+
+def lowest_block_slot(graph, block, machine):
+    """The lowest completion slot of ``block``'s own latest-fit placement
+    (:class:`_BackwardSlots`, largest rank first) when every node of it is
+    due at 0."""
+    sub = graph.subgraph(block)
+    ranks = compute_ranks(sub, dict.fromkeys(block, 0), machine)
+    slots = rankmod._BackwardSlots(machine)
+    return min(
+        slots.place(sub.fu_class(y), 1, ranks[y])
+        for y in sorted(block, key=ranks.__getitem__, reverse=True)
+    )
+
+
+@st.composite
+def block_instances(draw):
+    """A suffix (nodes ``o*``) and a block (nodes ``b*``) of unit-time
+    nodes over every class.  Edges run forward in ``o0 … b0 …`` only, so
+    none leaves the block: it is descendant-closed.  Latencies 0-4, a
+    deadline on every suffix node, the block's deadline ``fill``, the
+    carry's ``shift``, 1-3 relaxations and one of ``BLOCK_MACHINES``."""
+    machine = draw(st.sampled_from(BLOCK_MACHINES))
+    suffix = [f"o{i}" for i in range(draw(st.integers(1, 12)))]
+    block = [f"b{i}" for i in range(draw(st.integers(1, 10)))]
+    names = suffix + block
+    graph = DependenceGraph()
+    for name in names:
+        graph.add_node(name, fu_class=draw(st.sampled_from(FU_CLASSES)))
+
+    def edges(tails, heads, max_size):
+        """Edges from ``tails`` to ``heads``, forward in ``names``."""
+        return st.lists(
+            st.tuples(
+                st.sampled_from(tails), st.sampled_from(heads), st.integers(0, 4)
+            ),
+            max_size=max_size,
+        )
+
+    # Within the suffix, within the block, and 1-3 cross edges into the
+    # block, as between the blocks of a trace.
+    pairs = draw(edges(suffix, suffix, 2 * len(suffix)))
+    pairs += draw(edges(block, block, 2 * len(block)))
+    pairs += draw(edges(suffix, block, 3).filter(bool))
+    position = {n: i for i, n in enumerate(names)}
+    for a, b, lat in pairs:
+        if a != b:
+            a, b = sorted((a, b), key=position.__getitem__)
+            graph.add_edge(a, b, lat)
+    # Suffix deadlines below a common latest one, spread 0-45 apart: a
+    # narrow spread gives many suffix nodes the largest rank, as merge's
+    # T_old clamps do.
+    latest = draw(st.integers(-5, 40))
+    spread = draw(st.sampled_from((0, 2, 8, 45)))
+    deadlines = {
+        n: latest - draw(st.integers(0, spread)) for n in names if n[0] == "o"
+    }
+    shift = draw(st.integers(-6, 6))
+    # Half the blocks are due so that their lowest slot lies within one of
+    # the suffix's largest deadline, where bound (b) decides.
+    edge = max(deadlines.values()) + shift - lowest_block_slot(
+        graph, block, machine
+    )
+    fill = draw(st.integers(-5, 50) | st.integers(edge - 1, edge + 1))
+    return graph, deadlines, fill, shift, draw(st.integers(1, 3)), machine
+
+
+class TestBlockBound:
+    """Procedure Merge's block steps: ``carried_into(block_ranks=)`` and
+    ``raise_block`` keep the block's known ranks and skip the ancestors the
+    block cannot bind; after every step the ranks must equal
+    ``compute_ranks``."""
+
+    def test_block_steps_match_from_scratch(self):
+        """Carry a suffix into suffix ∪ block with the block's ranks, then
+        relax the block 1-3 times, under the per-step oracle.  The bound
+        skips ancestors on some examples; each step re-ranks at most the
+        block's ancestors and never the block."""
+        skipped = []
+
+        @settings(max_examples=300, deadline=None)
+        @given(block_instances())
+        def check(instance):
+            graph, deadlines, fill, shift, relaxations, machine = instance
+            block = [n for n in graph.nodes if n[0] == "b"]
+            suffix = graph.subgraph(deadlines)
+            block_ranks = compute_ranks(
+                graph.subgraph(block), dict.fromkeys(block, fill), machine
+            )
+            above = set().union(*map(graph.ancestors, block)) - set(block)
+            engine = RankEngine(suffix, deadlines, machine)
+            with per_step_oracle() as checks, recording(
+                TraceRecorder(sim_events=False)
+            ) as rec:
+                engine = engine.carried_into(
+                    graph, shift=shift, fill=fill, block_ranks=block_ranks
+                )
+                for _ in range(relaxations):
+                    engine.raise_block(block)
+            assert checks["carried_into"] == 1
+            assert checks["raise_block"] == relaxations
+            assert engine.deadlines == {
+                **{n: d + shift for n, d in deadlines.items()},
+                **dict.fromkeys(block, fill + relaxations),
+            }
+            steps = 1 + relaxations
+            assert rec.counters["rank.engine.updates"] == steps
+            reranked = rec.counters.get("rank.engine.reranked", 0)
+            assert reranked <= steps * len(above)
+            skipped.append(steps * len(above) - reranked)
+
+        check()
+        assert sum(map(bool, skipped)) > 0
+
+    def test_a_block_slot_on_the_top_rank_binds(self):
+        """Bound (b)'s edge.  x -> o1, o2, b1, b2 on one unit, o1 and o2
+        due at 5 (rank 5, the suffix's largest), b1 and b2 at 6: the block
+        takes slots 6 and 5, so o1 and o2 move down to 4 and 3 and rank(x)
+        falls from 3 to 2.  A block slot equal to a rank outside the block
+        must not pass (b).  Raised to 7, the block clears slot 5 again."""
+        graph = graph_from_edges(
+            [("x", "o1", 0), ("x", "o2", 0), ("x", "b1", 0), ("x", "b2", 0)],
+            nodes=["x", "o1", "o2", "b1", "b2"],
+        )
+        old = ["x", "o1", "o2"]
+        suffix = RankEngine(graph.subgraph(old), dict.fromkeys(old, 5))
+        assert suffix.ranks["x"] == 3
+        with per_step_oracle() as checks:
+            carried = suffix.carried_into(
+                graph, fill=6, block_ranks={"b1": 6, "b2": 6}
+            )
+            assert carried.ranks["x"] == 2
+            carried.raise_block(["b1", "b2"])
+            assert carried.ranks["x"] == 3
+        assert checks["carried_into"] == checks["raise_block"] == 1
+
+    def test_a_block_with_an_edge_out_is_ranked_as_new(self):
+        """``b -> o`` leaves the block: ``block_ranks`` is not read, and
+        ``raise_block`` is a ``set_deadlines`` of the raised deadlines."""
+        graph = graph_from_edges(
+            [("o", "b", 1), ("b", "p", 2)], nodes=["o", "p", "b"]
+        )
+        engine = RankEngine(graph.subgraph(["o", "p"]), {"o": 9, "p": 9})
+        carried = engine.carried_into(graph, fill=9, block_ranks={"b": 99})
+        assert carried.ranks == compute_ranks(graph, carried.deadlines)
+        assert carried.ranks["b"] == 6
+        carried.raise_block(["b"])
+        assert carried.deadlines == {"o": 9, "p": 9, "b": 10}
+        assert carried.ranks == compute_ranks(graph, carried.deadlines)
+
+    def test_raise_block_rejects_unknown_nodes(self):
+        engine = RankEngine(random_dag(4, seed=0))
+        with pytest.raises(ValueError, match="unknown nodes.*zzz"):
+            engine.raise_block(["zzz"])
+
+
 @contextmanager
 def closed_form_off():
     """Rank through :class:`_BackwardSlots` instead of the closed form: the
-    pool table still runs, for its class check, but is not handed on."""
-    table = rankmod._unit_pools
+    graph's tables are still read, so the pool table's class check runs,
+    but the pool table is not handed on."""
+    tables = rankmod._rank_tables
 
     def off(graph, machine):
-        table(graph, machine)
-        return None
+        return None, tables(graph, machine)[1]
 
-    with mock.patch.object(rankmod, "_unit_pools", off):
+    with mock.patch.object(rankmod, "_rank_tables", off):
         yield
 
 
@@ -292,27 +451,38 @@ class TestClosedFormBackwardSchedule:
             slow = compute_ranks(graph, deadlines, machine)
         assert fast == slow
 
-    @settings(max_examples=400, deadline=None)
-    @given(unit_time_instances())
-    def test_matches_general_allocator_on_every_pool(self, instance):
+    def test_matches_general_allocator_on_every_pool(self):
         """On pools of any capacity the closed form gives _BackwardSlots's
         ranks, and both reject a class without a unit as list_schedule
-        does."""
-        graph, deadlines, machine = instance
-        if not machine.can_execute(graph):
-            for run in (compute_ranks, RankEngine):
-                with pytest.raises(ValueError, match="lacks a functional unit"):
-                    run(graph, deadlines, machine)
-                with closed_form_off(), pytest.raises(
-                    ValueError, match="lacks a functional unit"
-                ):
-                    run(graph, deadlines, machine)
-            return
-        fast = compute_ranks(graph, deadlines, machine)
-        with closed_form_off():
-            slow = compute_ranks(graph, deadlines, machine)
-        assert fast == slow
-        assert RankEngine(graph, deadlines, machine).ranks == fast
+        does.  The fuzz reaches both of the closed form's loops: the one
+        for a graph whose only pool is one unit, and the per-pool one."""
+        one_unit = Counter()
+
+        @settings(max_examples=400, deadline=None)
+        @given(unit_time_instances())
+        def check(instance):
+            graph, deadlines, machine = instance
+            if not machine.can_execute(graph):
+                for run in (compute_ranks, RankEngine):
+                    with pytest.raises(
+                        ValueError, match="lacks a functional unit"
+                    ):
+                        run(graph, deadlines, machine)
+                    with closed_form_off(), pytest.raises(
+                        ValueError, match="lacks a functional unit"
+                    ):
+                        run(graph, deadlines, machine)
+                return
+            fast = compute_ranks(graph, deadlines, machine)
+            with closed_form_off():
+                slow = compute_ranks(graph, deadlines, machine)
+            assert fast == slow
+            assert RankEngine(graph, deadlines, machine).ranks == fast
+            _, spare = rankmod._rank_tables(graph, machine)[0]
+            one_unit[spare == (0,)] += 1
+
+        check()
+        assert one_unit[True] and one_unit[False]
 
     @pytest.mark.parametrize(
         "machine,classes,want",
@@ -358,7 +528,10 @@ class TestSingleUnitPool:
 
 
 #: The RankEngine calls that change an engine's state, or make an engine.
-ENGINE_STEPS = ("__init__", "carried_into", "set_deadlines", "restore", "shift")
+ENGINE_STEPS = (
+    "__init__", "carried_into", "set_deadlines", "restore", "shift",
+    "raise_block",
+)
 
 
 @contextmanager
@@ -367,9 +540,10 @@ def per_step_oracle():
 
     After each construction (a trusted ``ranks=`` seed included, except the
     one :meth:`RankEngine.carried_into` makes before it re-ranks the new
-    nodes), each ``set_deadlines``, ``carried_into``, ``restore`` and
-    ``shift``, the engine's ranks must equal ``compute_ranks`` on its own
-    deadlines.  Yields a :class:`Counter` of the checks made per step."""
+    nodes), each ``set_deadlines``, ``carried_into`` (its ``block_ranks=``
+    seeding included), ``restore``, ``shift`` and ``raise_block``, the
+    engine's ranks must equal ``compute_ranks`` on its own deadlines.
+    Yields a :class:`Counter` of the checks made per step."""
     real = {name: getattr(RankEngine, name) for name in ENGINE_STEPS}
     checks: Counter = Counter()
     carrying = [0]
@@ -407,6 +581,7 @@ def per_step_oracle():
         set_deadlines=in_place("set_deadlines"),
         restore=in_place("restore"),
         shift=in_place("shift"),
+        raise_block=in_place("raise_block"),
     ):
         yield checks
 
@@ -481,12 +656,13 @@ class TestPipelineBitIdentity:
     @pytest.mark.parametrize("shape", sorted(WORK_COUNT_SHAPES))
     def test_work_count_corpus(self, shape, rank_oracle):
         """``test_work_counts.py``'s two corpora, whose merges relax
-        deadlines (``paper_core``) and whose failed idle-slot trials
-        restore snapshots (``wide_vliw``)."""
+        deadlines (``paper_core``, each relaxation a ``raise_block``) and
+        whose failed idle-slot trials restore snapshots (``wide_vliw``)."""
         machine, kwargs = WORK_COUNT_SHAPES[shape]
         for seed in WORK_COUNT_SEEDS:
             algorithm_lookahead(random_trace(seed=seed, **kwargs), machine)
         assert all(rank_oracle[step] for step in ENGINE_STEPS[:4])
+        assert (rank_oracle["raise_block"] > 0) == (shape == "paper_core")
 
     @pytest.mark.parametrize("seed", range(10))
     def test_tardiness_search(self, seed, rank_oracle):
@@ -528,6 +704,8 @@ class TestEngineOwnsDeadlines:
 
         def merge(*args, **kwargs):
             result = real_merge(*args, **kwargs)
+            if result.feasible:  # the first block's is the lower bound's
+                assert result.schedule == result.engine.schedule()
             assert result.deadlines == result.engine.deadlines
             assert result.deadlines is not result.engine.deadlines
             assert result.engine is kwargs["carry"].constrained

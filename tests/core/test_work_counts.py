@@ -67,15 +67,25 @@ COUNTERS = (
 #: engine restores a snapshot instead), nor, on ``wide_vliw``, the update of
 #: a trial whose tail cannot complete by tᵢ − 1 in any list schedule (its
 #: dependence-only earliest completion decides it as infeasible).
+#:
+#: ``rank.engine.full``, ``reranked`` and ``reused`` moved again when merge
+#: stopped re-ranking what it already knows.  The first block's constrained
+#: engine is the lower-bound ranks shifted, not a from-scratch computation
+#: (``full`` 24 -> 12, one per trace); a new block's constrained ranks are
+#: the lower-bound chain's shifted, and a relaxation raises them by one, so
+#: neither re-ranks the block, and an ancestor the block cannot bind keeps
+#: its rank with no backward schedule (``reranked`` 3,423 -> 2,083 and
+#: 1,790 -> 1,511; ``reused`` gains what ``reranked`` lost).  Every other
+#: count and both block-order digests are unchanged.
 PINNED = {
     "wide_vliw": {
         "idle.trials": 422,
         "idle.slots_moved": 3,
-        "rank.engine.full": 24,
+        "rank.engine.full": 12,
         "rank.engine.carried": 48,
         "rank.engine.updates": 368,
-        "rank.engine.reranked": 1790,
-        "rank.engine.reused": 5181,
+        "rank.engine.reranked": 1511,
+        "rank.engine.reused": 5460,
         "merge.relaxations": 0,
         "chop.committed": 219,
         "block_orders_sha256": "b7936e573b06f586",
@@ -83,11 +93,11 @@ PINNED = {
     "paper_core": {
         "idle.trials": 18,
         "idle.slots_moved": 0,
-        "rank.engine.full": 24,
+        "rank.engine.full": 12,
         "rank.engine.carried": 120,
         "rank.engine.updates": 168,
-        "rank.engine.reranked": 3423,
-        "rank.engine.reused": 5161,
+        "rank.engine.reranked": 2083,
+        "rank.engine.reused": 6501,
         "merge.relaxations": 17,
         "chop.committed": 70,
         "block_orders_sha256": "3c082ac77c8477da",
